@@ -17,8 +17,11 @@
 //! * **shared system-prompt prefixes**: requests naming the same
 //!   `(prefix_seed, prefix_tokens)` pair share the prefix's KV blocks
 //!   through the engine's copy-on-write prefix registry — the first
-//!   reader registers (one O(L) prefill), every later reader admits in
-//!   O(suffix) work and blocks ([`DecodeBatch::enqueue_shared`]);
+//!   reader synthesizes and registers the prefix (one O(L) prefill),
+//!   the scheduler keeps its K/V rows, and every later reader
+//!   synthesizes, prefills and holds only its suffix
+//!   ([`DecodeBatch::enqueue_shared`]): `k` readers cost O(L + k·S)
+//!   work, arena blocks and frontend history memory;
 //! * **graceful degradation under arena pressure**: first demote a
 //!   victim's cold blocks to BF16 ([`DecodeBatch::demote`], the soft
 //!   tier), then evict-and-requeue with recompute-on-resume
@@ -69,7 +72,8 @@ use crate::batch::{DecodeBatch, ScrubPolicy};
 use fa_tensor::{random::ElementDist, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Splitmix-style seed derivation: one stream per (request, lane) pair,
 /// so regenerating any request's tokens never consults scheduler state.
@@ -360,20 +364,59 @@ pub struct StepReport {
     pub spec_rejected: usize,
 }
 
+/// A registered shared prefix: its engine registry id and its K/V rows,
+/// synthesized once at registration and shared by every reader's
+/// history.
+struct SharedPrefix {
+    /// Engine prefix-registry id.
+    id: usize,
+    /// The prefix's K rows.
+    k: Matrix<f64>,
+    /// The prefix's V rows.
+    v: Matrix<f64>,
+}
+
 /// A request currently owning an engine slot.
 struct Active {
     /// Index into `records`.
     rec: usize,
     /// Engine sequence id (changes if a prefilling victim restarts).
     seq: usize,
-    /// Frontend copy of every accepted K row — the resubmission source.
+    /// The shared prefix this request reads behind (`None` = unshared
+    /// prompt). Its rows lead the accepted history but are held once
+    /// per prefix, not once per reader.
+    prefix: Option<Arc<SharedPrefix>>,
+    /// Frontend copy of every accepted *private* K row — the suffix
+    /// (the whole prompt when unshared), then each accepted decode
+    /// token. Behind `prefix`, it is the resubmission source.
     hist_k: Vec<f64>,
-    /// Frontend copy of every accepted V row.
+    /// Frontend copy of every accepted private V row.
     hist_v: Vec<f64>,
     /// Accepted decode tokens so far (also the next token index).
     decoded: usize,
     /// Soft-tier demotion already applied at the current length.
     demoted: bool,
+}
+
+impl Active {
+    /// Accepted history rows: the shared prefix plus the private rows.
+    fn history_rows(&self, kd: usize) -> usize {
+        self.prefix.as_ref().map_or(0, |p| p.k.rows()) + self.hist_k.len() / kd
+    }
+
+    /// The full accepted K/V history (`prefix ‖ private`), concatenated
+    /// on demand for a resubmission.
+    fn history(&self, kd: usize) -> (Matrix<f64>, Matrix<f64>) {
+        let rows = self.history_rows(kd);
+        let (pk, pv) = self
+            .prefix
+            .as_ref()
+            .map_or((&[][..], &[][..]), |p| (p.k.as_slice(), p.v.as_slice()));
+        (
+            Matrix::from_vec(rows, kd, [pk, &self.hist_k].concat()),
+            Matrix::from_vec(rows, kd, [pv, &self.hist_v].concat()),
+        )
+    }
 }
 
 /// The step-driven SLO-aware scheduler (see module docs).
@@ -388,10 +431,11 @@ pub struct Scheduler {
     /// tokens granted. Lowest counter wins the next scheduling tie.
     admitted_tokens: Vec<u64>,
     decoded_tokens: Vec<u64>,
-    /// Engine prefix-registry ids by `(prefix_seed, prefix_tokens)`:
-    /// the first request carrying a pair registers (prefilling the
-    /// prefix once); everyone after shares its blocks copy-on-write.
-    prefix_ids: std::collections::HashMap<(u64, usize), usize>,
+    /// Registered shared prefixes by `(prefix_seed, prefix_tokens)`:
+    /// the first request carrying a pair synthesizes the prefix rows and
+    /// registers them (prefilling the prefix once); everyone after
+    /// shares its blocks copy-on-write and its rows by reference.
+    prefixes: HashMap<(u64, usize), Arc<SharedPrefix>>,
 }
 
 impl Scheduler {
@@ -431,7 +475,7 @@ impl Scheduler {
             active: Vec::new(),
             admitted_tokens: Vec::new(),
             decoded_tokens: Vec::new(),
-            prefix_ids: std::collections::HashMap::new(),
+            prefixes: HashMap::new(),
         }
     }
 
@@ -505,40 +549,50 @@ impl Scheduler {
         )
     }
 
-    /// Admits request `rec` into the engine. Unshared prompts enqueue
-    /// whole. Prefixed prompts register their `(prefix_seed, tokens)`
-    /// pair once — the registration prefills the prefix synchronously,
-    /// a one-time O(L) cost charged outside the step budget — and then
-    /// enqueue only the suffix behind the shared blocks, so `k` readers
-    /// cost O(L + k·suffix) prefill work and arena blocks. Returns the
-    /// engine sequence, the full accepted-row history (prefix ‖ suffix,
-    /// the resubmission source), and the prefix tokens a first-time
-    /// registration prefilled (0 on a registry hit).
-    fn admit_engine(&mut self, rec: usize) -> (usize, Vec<f64>, Vec<f64>, usize) {
+    /// Admits request `rec` into the engine as a fresh [`Active`] slot.
+    /// Unshared prompts enqueue whole. Prefixed prompts register their
+    /// `(prefix_seed, tokens)` pair once — the registration synthesizes
+    /// the prefix and prefills it synchronously, a one-time O(L) cost
+    /// charged outside the step budget, and the scheduler keeps the
+    /// prefix K/V rows — and then synthesize and enqueue only the
+    /// suffix behind the shared blocks. `k` readers cost O(L + k·S)
+    /// synthesis, prefill work, arena blocks and history memory: each
+    /// slot holds the prefix rows by reference plus its private suffix.
+    /// Also returns the prefix tokens a first-time registration
+    /// prefilled (0 on a registry hit).
+    fn admit_engine(&mut self, rec: usize) -> (Active, usize) {
         let (q, k, v) = self.prompt_matrices(rec);
         let r = &self.records[rec];
-        let Some(pseed) = r.prefix_seed else {
-            let seq = self.engine.enqueue(&q, &k, &v);
-            return (seq, k.as_slice().to_vec(), v.as_slice().to_vec(), 0);
-        };
-        let rows = r.prefix_tokens;
-        let (pq, pk, pv) = self.prefix_matrices(pseed, rows);
-        let mut registered = 0;
-        let id = match self.prefix_ids.get(&(pseed, rows)) {
-            Some(&id) => id,
-            None => {
-                let id = self.engine.register_prefix(&pq, &pk, &pv);
-                self.prefix_ids.insert((pseed, rows), id);
-                registered = rows;
-                id
+        let (seq, prefix, registered) = match r.prefix_seed {
+            None => (self.engine.enqueue(&q, &k, &v), None, 0),
+            Some(pseed) => {
+                let key = (pseed, r.prefix_tokens);
+                let mut registered = 0;
+                let prefix = match self.prefixes.get(&key) {
+                    Some(p) => Arc::clone(p),
+                    None => {
+                        let (pq, pk, pv) = self.prefix_matrices(pseed, key.1);
+                        let id = self.engine.register_prefix(&pq, &pk, &pv);
+                        registered = key.1;
+                        let p = Arc::new(SharedPrefix { id, k: pk, v: pv });
+                        self.prefixes.insert(key, Arc::clone(&p));
+                        p
+                    }
+                };
+                let seq = self.engine.enqueue_shared(prefix.id, &q, &k, &v);
+                (seq, Some(prefix), registered)
             }
         };
-        let seq = self.engine.enqueue_shared(id, &q, &k, &v);
-        let mut hist_k = pk.as_slice().to_vec();
-        hist_k.extend_from_slice(k.as_slice());
-        let mut hist_v = pv.as_slice().to_vec();
-        hist_v.extend_from_slice(v.as_slice());
-        (seq, hist_k, hist_v, registered)
+        let active = Active {
+            rec,
+            seq,
+            prefix,
+            hist_k: k.into_vec(),
+            hist_v: v.into_vec(),
+            decoded: 0,
+            demoted: false,
+        };
+        (active, registered)
     }
 
     /// One decode token's Q/K/V rows for request `rec`, token index `t`.
@@ -563,7 +617,7 @@ impl Scheduler {
     fn admission_cost(&self, rec: usize) -> usize {
         let r = &self.records[rec];
         match r.prefix_seed {
-            Some(seed) if self.prefix_ids.contains_key(&(seed, r.prefix_tokens)) => r.prompt_tokens,
+            Some(seed) if self.prefixes.contains_key(&(seed, r.prefix_tokens)) => r.prompt_tokens,
             Some(_) => r.prefix_tokens + r.prompt_tokens,
             None => r.prompt_tokens,
         }
@@ -736,12 +790,12 @@ impl Scheduler {
             report.speculated_tokens += gamma;
             report.spec_accepted += accepted[j];
             report.spec_rejected += gamma - accepted[j];
-            let base = self.active[i].decoded;
+            // Accepted positions drafted the true stream rows, so the
+            // window's own K/V rows are the history rows.
             for (t, out) in outs[j].iter().take(accepted[j]).enumerate() {
-                let (_, k, v) = self.token_rows(rec, base + t);
                 let a = &mut self.active[i];
-                a.hist_k.extend_from_slice(k.as_slice());
-                a.hist_v.extend_from_slice(v.as_slice());
+                a.hist_k.extend_from_slice(ks.row(j * gamma + t));
+                a.hist_v.extend_from_slice(vs.row(j * gamma + t));
                 a.decoded += 1;
                 a.demoted = false;
                 let r = &mut self.records[rec];
@@ -845,20 +899,13 @@ impl Scheduler {
                 break;
             }
             self.queue.remove(qi);
-            let (seq, hist_k, hist_v, registered) = self.admit_engine(rec);
+            let (active, registered) = self.admit_engine(rec);
             report.prefill_tokens += registered;
             let r = &mut self.records[rec];
             r.admitted_step = Some(self.now);
             r.phase = Phase::Prefilling;
             self.admitted_tokens[r.tenant] += deficit_cost as u64;
-            self.active.push(Active {
-                rec,
-                seq,
-                hist_k,
-                hist_v,
-                decoded: 0,
-                demoted: false,
-            });
+            self.active.push(active);
             pending_load += cost;
             report.admitted += 1;
         }
@@ -1022,7 +1069,8 @@ impl Scheduler {
     /// A `Prefilling` victim restarts the scored admission from scratch
     /// (its prompt outputs were never delivered); anyone else is
     /// quarantined and — unless the recovery log already requeued the
-    /// full history — resubmitted from the frontend's accepted-row copy.
+    /// full history — resubmitted from the frontend's accepted rows
+    /// (shared prefix ‖ private rows, joined on demand).
     fn requeue(&mut self, i: usize, cause: RequeueCause, report: &mut StepReport) {
         let rec = self.active[i].rec;
         let seq = self.active[i].seq;
@@ -1030,18 +1078,13 @@ impl Scheduler {
             self.engine.retire(seq);
             // A prefixed victim re-admits behind the still-registered
             // shared prefix (a registry hit: no prefix re-prefill).
-            let (new_seq, hist_k, hist_v, registered) = self.admit_engine(rec);
+            let (active, registered) = self.admit_engine(rec);
             report.prefill_tokens += registered;
-            let a = &mut self.active[i];
-            a.seq = new_seq;
-            a.hist_k = hist_k;
-            a.hist_v = hist_v;
-            a.decoded = 0;
-            a.demoted = false;
+            self.active[i] = active;
         } else {
             let q = self.engine.quarantine(seq);
             let kd = self.engine.config().kv_dim();
-            let rows = self.active[i].hist_k.len() / kd;
+            let rows = self.active[i].history_rows(kd);
             if q.requeued_rows != rows {
                 // The recovery log replays every *cached* row, which can
                 // include the K/V row of a token the frontend discarded
@@ -1054,8 +1097,7 @@ impl Scheduler {
                     seq
                 };
                 self.active[i].seq = seq;
-                let k = Matrix::from_vec(rows, kd, self.active[i].hist_k.clone());
-                let v = Matrix::from_vec(rows, kd, self.active[i].hist_v.clone());
+                let (k, v) = self.active[i].history(kd);
                 if self.engine.resubmit(seq, &k, &v).is_err() {
                     // Lost a race with the slot: drop the request rather
                     // than wedge the batch.
@@ -1090,10 +1132,11 @@ impl Scheduler {
     }
 
     /// Preemption victim: lowest priority class first, then **cheapest
-    /// recompute** — fewest accepted history rows, i.e. the least work
-    /// a requeue pays to rebuild the cache and re-earn its place —
-    /// newest request breaking ties. `fresh_only` skips requests
-    /// already demoted at their current length.
+    /// recompute** — fewest accepted history rows (shared prefix plus
+    /// private rows), i.e. the least work a requeue pays to rebuild the
+    /// cache and re-earn its place — newest request breaking ties.
+    /// `fresh_only` skips requests already demoted at their current
+    /// length.
     fn pick_victim(&self, fresh_only: bool) -> Option<usize> {
         let kd = self.engine.config().kv_dim();
         (0..self.active.len())
@@ -1107,7 +1150,7 @@ impl Scheduler {
                 let a = &self.active[i];
                 (
                     self.records[a.rec].priority,
-                    a.hist_k.len() / kd,
+                    a.history_rows(kd),
                     core::cmp::Reverse(a.rec),
                 )
             })
@@ -2178,6 +2221,183 @@ mod tests {
         assert_eq!(rep.shed, 1);
         assert_eq!(sched.records()[1].phase, Phase::Shed, "14 > unshared 8");
         assert_ne!(sched.records()[2].phase, Phase::Shed);
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn slot(sched: &Scheduler, rec: usize) -> &Active {
+        sched
+            .active
+            .iter()
+            .find(|a| a.rec == rec)
+            .expect("the request holds a slot")
+    }
+
+    /// Request `rec`'s private K/V rows after `decoded` accepted tokens,
+    /// regenerated from its seed: prompt (suffix) rows, then each token.
+    fn private_history(sched: &Scheduler, rec: usize, decoded: usize) -> (Vec<f64>, Vec<f64>) {
+        let (_, k, v) = sched.prompt_matrices(rec);
+        let (mut k, mut v) = (k.into_vec(), v.into_vec());
+        for t in 0..decoded {
+            let (_, tk, tv) = sched.token_rows(rec, t);
+            k.extend_from_slice(tk.as_slice());
+            v.extend_from_slice(tv.as_slice());
+        }
+        (k, v)
+    }
+
+    #[test]
+    fn shared_prefix_rows_are_held_once_and_resubmit_bit_identically() {
+        // No recovery log: every quarantine resubmits the frontend's
+        // history, so the shared-prefix join is what re-caches.
+        let cfg = ServeConfig {
+            recovery_log: false,
+            ..ServeConfig::default()
+        };
+        let mut e = engine();
+        e.set_prefill_chunk(4);
+        let mut sched = Scheduler::new(e, cfg);
+        let (pseed, ptoks) = (99u64, 12usize);
+        let readers: Vec<Request> = (0..3)
+            .map(|i| Request {
+                tenant: 0,
+                priority: Priority::Interactive,
+                prompt_tokens: 5 + i,
+                output_tokens: 40,
+                seed: 700 + i as u64,
+                prefix_seed: Some(pseed),
+                prefix_tokens: ptoks,
+            })
+            .collect();
+        sched.step(&readers);
+        let ready = |s: &Scheduler| {
+            s.active.len() == readers.len()
+                && s.active
+                    .iter()
+                    .all(|a| s.records[a.rec].phase == Phase::Decoding && a.decoded >= 2)
+        };
+        for _ in 0..40 {
+            if ready(&sched) {
+                break;
+            }
+            sched.step(&[]);
+        }
+        assert!(ready(&sched), "every reader reached decode");
+
+        // One prefix copy, in the scheduler, shared by all k readers.
+        let kd = sched.engine().config().kv_dim();
+        let shared = &sched.prefixes[&(pseed, ptoks)];
+        assert_eq!(Arc::strong_count(shared), readers.len() + 1);
+        for a in &sched.active {
+            let p = a.prefix.as_ref().expect("every reader shares the prefix");
+            assert!(Arc::ptr_eq(p, shared));
+            let r = &sched.records[a.rec];
+            assert_eq!(a.hist_k.len(), (r.prompt_tokens + a.decoded) * kd);
+            assert_eq!(a.hist_v.len(), a.hist_k.len());
+        }
+
+        // Re-cached rows must equal prefix ‖ prompt ‖ token_rows(0..decoded)
+        // regenerated from the seeds — in the frontend's joined history
+        // and in the engine's cache alike.
+        let check = |sched: &Scheduler, rec: usize| {
+            let a = slot(sched, rec);
+            let (_, pk, pv) = sched.prefix_matrices(pseed, ptoks);
+            let (sk, sv) = private_history(sched, rec, a.decoded);
+            let (mut k, mut v) = (pk.into_vec(), pv.into_vec());
+            k.extend_from_slice(&sk);
+            v.extend_from_slice(&sv);
+            let (hk, hv) = a.history(kd);
+            assert_eq!(bits(hk.as_slice()), bits(&k));
+            assert_eq!(bits(hv.as_slice()), bits(&v));
+            let cache = sched.engine().cache();
+            let n = cache.seq_len(a.seq);
+            assert_eq!(n * kd, k.len(), "the cache holds exactly the history");
+            let ck: Vec<f64> = (0..n).flat_map(|i| cache.key_row(a.seq, i)).collect();
+            let cv: Vec<f64> = (0..n).flat_map(|i| cache.value_row(a.seq, i)).collect();
+            assert_eq!(bits(&ck), bits(&k));
+            assert_eq!(bits(&cv), bits(&v));
+        };
+        let resume = |sched: &mut Scheduler, rec: usize| {
+            for _ in 0..40 {
+                if sched.records[rec].phase == Phase::Decoding {
+                    return;
+                }
+                sched.step(&[]);
+            }
+            panic!("request {rec} never resumed");
+        };
+
+        // Preempt reader 0 the way the hard tier does.
+        let i = sched.active.iter().position(|a| a.rec == 0).unwrap();
+        sched.requeue(i, RequeueCause::Preemption, &mut StepReport::default());
+        assert_eq!(
+            sched.records[0].phase,
+            Phase::Requeued(RequeueCause::Preemption)
+        );
+        assert_eq!(
+            Arc::strong_count(&sched.prefixes[&(pseed, ptoks)]),
+            readers.len() + 1,
+            "a requeued reader keeps its prefix reference"
+        );
+        resume(&mut sched, 0);
+        check(&sched, 0);
+
+        // Corrupt reader 1's newest (private) value row: its next decode
+        // alarms online and the request quarantines.
+        let seq = slot(&sched, 1).seq;
+        let last = sched.engine().seq_len(seq) - 1;
+        assert!(last >= ptoks, "the flip lands past the shared blocks");
+        sched
+            .engine_mut()
+            .flip_storage_bit(seq, last, 0, 0, false, 62);
+        for _ in 0..40 {
+            if sched.records[1].quarantines > 0 {
+                break;
+            }
+            sched.step(&[]);
+        }
+        assert_eq!(sched.records[1].quarantines, 1);
+        resume(&mut sched, 1);
+        check(&sched, 1);
+        check(&sched, 2);
+    }
+
+    #[test]
+    fn accepted_speculative_rows_are_the_true_stream_rows() {
+        // α = 0.5 at γ = 4 mixes fully accepted, partly accepted and
+        // wholly rejected windows; the history must keep exactly the
+        // regenerated rows of the accepted tokens, prefixed or not.
+        let cfg = ServeConfig {
+            speculation_gamma: 4,
+            draft_acceptance: 0.5,
+            ..ServeConfig::default()
+        };
+        let spec = LoadSpec {
+            prefix_tokens: 8,
+            prefix_share_prob: 0.5,
+            ..LoadSpec::default()
+        };
+        let mut e = engine();
+        e.set_prefill_chunk(4);
+        let mut sched = Scheduler::new(e, cfg);
+        let mut gen = LoadGen::new(spec, 83);
+        let (mut accepted, mut rejected, mut checked) = (0, 0, 0);
+        for _ in 0..80 {
+            let rep = sched.step(&gen.step());
+            accepted += rep.spec_accepted;
+            rejected += rep.spec_rejected;
+            for a in &sched.active {
+                let (k, v) = private_history(&sched, a.rec, a.decoded);
+                assert_eq!(bits(&a.hist_k), bits(&k));
+                assert_eq!(bits(&a.hist_v), bits(&v));
+                checked += usize::from(a.decoded > 0);
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "windows both hit and missed");
+        assert!(checked > 0, "some history held accepted tokens");
+        assert!(sched.active.iter().any(|a| a.prefix.is_some()));
     }
 
     #[test]
