@@ -11,11 +11,10 @@
 //!
 //! * [`KvCache`] — a paged, block-allocated cache: fixed-size blocks
 //!   carved from one shared arena, appended per sequence (the
-//!   vLLM/paged-attention layout), with two physical layouts
-//!   ([`KvLayout`]). The default **head-major** layout stores each head's
-//!   rows as a contiguous `block_rows × head_dim` panel inside the block,
-//!   so a (sequence, head) decode pass reads one pure contiguous K stream
-//!   and one V stream — no per-row head-strided gathers. Retired
+//!   vLLM/paged-attention layout), stored **head-major**: each head's
+//!   rows form a contiguous `block_rows × head_dim` panel inside the
+//!   block, so a (sequence, head) decode pass reads one pure contiguous K
+//!   stream and one V stream — no per-row head-strided gathers. Retired
 //!   sequences' blocks return to a **free list** and are recycled by later
 //!   admissions, so arena growth is bounded by *live* tokens, not total
 //!   traffic history.
@@ -52,7 +51,7 @@
 //! and to a one-shot causal [`flash2`](crate::flash2) pass over the same
 //! history; cross-head combination runs in a fixed order on the calling
 //! thread — so `step_all` is bit-identical to serial per-sequence decode
-//! at every thread count, topology, cache layout, block size, and
+//! at every thread count, topology, block size, and
 //! admit/retire schedule (property-tested).
 
 use crate::topology::HeadTopology;
@@ -270,11 +269,12 @@ impl std::error::Error for ResubmitError {}
 /// inputs within 2⁻²⁵ of a BF16 tie this double rounding can differ from
 /// a single direct f64→BF16 RNE, exactly as documented on the helper).
 /// Every path that narrows a cached element — direct BF16 appends under
-/// [`KvFormat::Bf16`] and in-place block demotion under
-/// [`KvFormat::Mixed`] — goes through this one function, so the two
-/// paths can never disagree on rounding again (one previously rounded
-/// RNE while the other truncated mantissa bits; the regression tests pin
-/// tie cases that distinguish the two).
+/// [`KvFormat::Bf16`], in-place block demotion under [`KvFormat::Mixed`],
+/// and block repair — goes through the BF16 arena's one write,
+/// `BF16::from_f64(x.to_f64())`, which is this function bit for bit. So
+/// the paths can never disagree on rounding again (one previously
+/// rounded RNE while the other truncated mantissa bits; the regression
+/// tests pin tie cases that distinguish the two).
 #[inline]
 pub fn round_bf16<T: Scalar>(x: T) -> BF16 {
     BF16::from_f64(x.to_f64())
@@ -338,13 +338,12 @@ pub struct AppendOutcome {
 }
 
 /// Physical arrangement of a cache block's `block_rows × width` elements.
+///
+/// Head-major is the only layout. The enum stays so the `with_policy`
+/// constructors of [`KvCache`] and [`DecodeBatch`] keep their signatures
+/// for existing callers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KvLayout {
-    /// Token-major (`[token][head][dim]`): position `r` is one contiguous
-    /// `width`-wide row. Reading one head's stream walks the arena at
-    /// stride `width` — the PR-2 layout, kept as the layout-equivalence
-    /// reference and for full-row consumers.
-    TokenMajor,
     /// Head-major (`[head][token][dim]`): each head owns a contiguous
     /// `block_rows × head_dim` panel inside the block, so one (sequence,
     /// head) decode pass reads one pure contiguous K stream and one V
@@ -374,24 +373,157 @@ pub enum HeadBlockData<'a, T> {
 }
 
 /// One block's view of a single head's cached rows, yielded by
-/// [`KvCache::head_stream`]: row `r` of the block lives at
-/// `k[r·stride .. r·stride + head_dim]` (same addressing for `v`).
+/// [`KvCache::head_stream`]: the views are one contiguous span, and row
+/// `r` of the block lives at `k[r·head_dim .. (r+1)·head_dim]` (same
+/// addressing for `v`).
 pub struct HeadBlock<'a, T> {
     /// Position of the block's first row within the sequence.
     pub first: usize,
     /// Valid (appended) rows in this block.
     pub rows: usize,
-    /// Distance between consecutive rows in the views: `head_dim` for
-    /// head-major blocks (one contiguous span), `width` for token-major.
-    pub stride: usize,
     /// Format-tagged key/value views.
     pub data: HeadBlockData<'a, T>,
 }
 
+/// Block storage for one element type: the K and V lanes of every block
+/// carved so far, the free list, and the per-block reference counts.
+/// [`KvCache`] holds two with the same block geometry, one native and
+/// one BF16; a [`BlockRef`]'s `bf16` tag picks between them (`in_arena!`).
+#[derive(Clone, Debug)]
+struct Arena<E> {
+    k: Vec<E>,
+    v: Vec<E>,
+    /// Blocks owned by no one, ready for reuse (LIFO).
+    free: Vec<usize>,
+    /// Per-block reference counts, one per block carved. A block is owned
+    /// by every live sequence listing it plus (for registered shared
+    /// prefixes) the prefix registry; it returns to the free list only
+    /// when the count reaches zero. Free-listed blocks sit at zero;
+    /// unshared blocks at one.
+    refs: Vec<u32>,
+}
+
+impl<E: Scalar> Arena<E> {
+    fn new() -> Self {
+        Arena {
+            k: Vec::new(),
+            v: Vec::new(),
+            free: Vec::new(),
+            refs: Vec::new(),
+        }
+    }
+
+    /// Blocks carved so far.
+    fn allocated(&self) -> usize {
+        self.refs.len()
+    }
+
+    /// Blocks owned by at least one holder.
+    fn owned(&self) -> usize {
+        self.refs.len() - self.free.len()
+    }
+
+    /// Claims a block — from the free list when possible (`recycled`),
+    /// growing the arena otherwise. The claimed block starts with a
+    /// reference count of one (sole owner).
+    fn claim(&mut self, block_elems: usize) -> (usize, bool) {
+        if let Some(freed) = self.free.pop() {
+            debug_assert_eq!(self.refs[freed], 0, "free-listed block had owners");
+            self.refs[freed] = 1;
+            return (freed, true);
+        }
+        self.k.resize(self.k.len() + block_elems, E::zero());
+        self.v.resize(self.v.len() + block_elems, E::zero());
+        self.refs.push(1);
+        (self.refs.len() - 1, false)
+    }
+
+    /// Drops one reference to block `index`. When the last owner lets
+    /// go the block returns to the free list, unless `defer` (the caller
+    /// parks it instead). Returns whether the count reached zero.
+    fn release(&mut self, index: usize, defer: bool) -> bool {
+        let rc = &mut self.refs[index];
+        assert!(*rc > 0, "double free of {} block {index}", E::NAME);
+        *rc -= 1;
+        if *rc > 0 {
+            return false;
+        }
+        if !defer {
+            self.free.push(index);
+        }
+        true
+    }
+
+    /// Reserves lanes for `blocks` more claims beyond what the free list
+    /// can serve.
+    fn reserve(&mut self, blocks: usize, block_elems: usize) {
+        let elems = blocks.saturating_sub(self.free.len()) * block_elems;
+        self.k.reserve(elems);
+        self.v.reserve(elems);
+    }
+
+    /// Copies block `src`'s K and V lanes into block `dst`, bitwise.
+    fn copy_block(&mut self, src: usize, dst: usize, block_elems: usize) {
+        let (src, dst) = (src * block_elems, dst * block_elems);
+        self.k.copy_within(src..src + block_elems, dst);
+        self.v.copy_within(src..src + block_elems, dst);
+    }
+
+    /// Stores `k` and `v` at lane `slot`, each element narrowed through
+    /// `E::from_f64(x.to_f64())`: the identity into a native arena, and
+    /// [`round_bf16`] bit for bit into the BF16 one.
+    fn write<S: Scalar>(&mut self, slot: usize, k: &[S], v: &[S]) {
+        let n = k.len();
+        let lanes = self.k[slot..slot + n]
+            .iter_mut()
+            .zip(&mut self.v[slot..slot + n]);
+        for ((dk, dv), (&kx, &vx)) in lanes.zip(k.iter().zip(v)) {
+            *dk = E::from_f64(kx.to_f64());
+            *dv = E::from_f64(vx.to_f64());
+        }
+    }
+
+    /// Lane-order f64 sums of the `d` K and V lanes at `slot`.
+    fn lane_sums(&self, slot: usize, d: usize) -> (f64, f64) {
+        let sum = |lanes: &[E]| -> f64 { lanes[slot..slot + d].iter().map(|x| x.to_f64()).sum() };
+        (sum(&self.k), sum(&self.v))
+    }
+}
+
+/// Evaluates `$body` with `$a` bound to the arena `$bf16` selects — the
+/// cache's BF16 arena when true, its native one otherwise. This is the
+/// one place a block's format picks its storage; `$body` is written once
+/// and compiled for both element types.
+macro_rules! in_arena {
+    (&mut $cache:expr, $bf16:expr, |$a:ident| $body:expr) => {
+        if $bf16 {
+            let $a = &mut $cache.bf16;
+            $body
+        } else {
+            let $a = &mut $cache.native;
+            $body
+        }
+    };
+    (&$cache:expr, $bf16:expr, |$a:ident| $body:expr) => {
+        if $bf16 {
+            let $a = &$cache.bf16;
+            $body
+        } else {
+            let $a = &$cache.native;
+            $body
+        }
+    };
+}
+
 /// A paged key/value cache: rows of `num_heads · head_dim` elements stored
-/// in fixed-size blocks carved out of one shared arena, with an
-/// append-only block list per live sequence and a free list recycling the
-/// blocks of retired sequences.
+/// in fixed-size blocks carved out of shared arenas, with an append-only
+/// block list per live sequence and free lists recycling the blocks of
+/// retired sequences.
+///
+/// Blocks are head-major ([`KvLayout::HeadMajor`]): each head's rows form
+/// a contiguous `block_rows × head_dim` panel. Native blocks and BF16
+/// blocks (demoted, or appended under [`KvFormat::Bf16`]) live in two
+/// arenas of the same geometry, told apart by [`BlockRef::bf16`].
 ///
 /// The cache's heads are **kv heads**: under a grouped topology
 /// ([`HeadTopology`]) the engine constructs the cache with `kv_heads`
@@ -422,29 +554,13 @@ pub struct KvCache<T> {
     head_dim: usize,
     width: usize,
     block_rows: usize,
-    layout: KvLayout,
     format: KvFormat,
     eviction: EvictionPolicy,
-    k_arena: Vec<T>,
-    v_arena: Vec<T>,
-    /// BF16 side arenas holding demoted (or direct-appended BF16) blocks;
-    /// same block geometry as the native arenas.
-    k_arena16: Vec<BF16>,
-    v_arena16: Vec<BF16>,
+    /// Blocks in the native element format.
+    native: Arena<T>,
+    /// Demoted (or direct-appended BF16) blocks.
+    bf16: Arena<BF16>,
     seqs: Vec<SeqBlocks>,
-    /// Native-arena blocks owned by no live sequence, ready for reuse
-    /// (LIFO).
-    free_blocks: Vec<usize>,
-    /// BF16-arena blocks ready for reuse.
-    free_blocks16: Vec<usize>,
-    /// Per-block reference counts for the native arena, index-parallel
-    /// to its blocks. A block is owned by every live sequence listing it
-    /// plus (for registered shared prefixes) the prefix registry; it
-    /// returns to the free list only when the count reaches zero.
-    /// Free-listed blocks sit at zero; unshared blocks at one.
-    ref_counts: Vec<u32>,
-    /// Per-block reference counts for the BF16 arena.
-    ref_counts16: Vec<u32>,
     /// Sequence slots whose owner retired, ready for reuse.
     free_seqs: Vec<usize>,
     /// Total block claims served from either free list (observability).
@@ -486,51 +602,38 @@ struct SeqBlocks {
 }
 
 impl<T: Scalar> KvCache<T> {
-    /// Creates an empty token-major cache for full rows of `width`
-    /// elements (a single "head" of dimension `width`), allocated in
-    /// blocks of `block_rows` rows.
+    /// Creates an empty cache for full rows of `width` elements (a single
+    /// "head" of dimension `width`), allocated in blocks of `block_rows`
+    /// rows.
     ///
     /// # Panics
     ///
     /// Panics if either parameter is zero.
     pub fn new(width: usize, block_rows: usize) -> Self {
-        Self::with_layout(1, width, block_rows, KvLayout::TokenMajor)
+        Self::new_head_major(1, width, block_rows)
     }
 
-    /// Creates an empty head-major cache: `num_heads` heads of `head_dim`
-    /// elements per row, each head's rows contiguous within a block.
+    /// Creates an empty cache with the default policy (native format,
+    /// retain-all): `num_heads` heads of `head_dim` elements per row,
+    /// each head's rows contiguous within a block.
     ///
     /// # Panics
     ///
     /// Panics if any parameter is zero.
     pub fn new_head_major(num_heads: usize, head_dim: usize, block_rows: usize) -> Self {
-        Self::with_layout(num_heads, head_dim, block_rows, KvLayout::HeadMajor)
-    }
-
-    /// Creates an empty cache with an explicit layout and the default
-    /// policy (native format, retain-all).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter is zero.
-    pub fn with_layout(
-        num_heads: usize,
-        head_dim: usize,
-        block_rows: usize,
-        layout: KvLayout,
-    ) -> Self {
         Self::with_policy(
             num_heads,
             head_dim,
             block_rows,
-            layout,
+            KvLayout::HeadMajor,
             KvFormat::F64,
             EvictionPolicy::RetainAll,
         )
     }
 
     /// Creates an empty cache with explicit format and eviction policies
-    /// — the full policy-layer constructor.
+    /// — the full policy-layer constructor. `layout` can only be
+    /// [`KvLayout::HeadMajor`].
     ///
     /// # Panics
     ///
@@ -551,23 +654,17 @@ impl<T: Scalar> KvCache<T> {
         if let EvictionPolicy::SlidingWindow { window_blocks } = eviction {
             assert!(window_blocks > 0, "window_blocks must be positive");
         }
+        let KvLayout::HeadMajor = layout;
         KvCache {
             heads: num_heads,
             head_dim,
             width: num_heads * head_dim,
             block_rows,
-            layout,
             format,
             eviction,
-            k_arena: Vec::new(),
-            v_arena: Vec::new(),
-            k_arena16: Vec::new(),
-            v_arena16: Vec::new(),
+            native: Arena::new(),
+            bf16: Arena::new(),
             seqs: Vec::new(),
-            free_blocks: Vec::new(),
-            free_blocks16: Vec::new(),
-            ref_counts: Vec::new(),
-            ref_counts16: Vec::new(),
             free_seqs: Vec::new(),
             recycled_blocks: 0,
             cow_copies: 0,
@@ -606,11 +703,6 @@ impl<T: Scalar> KvCache<T> {
         self.heads
     }
 
-    /// The physical block layout.
-    pub fn layout(&self) -> KvLayout {
-        self.layout
-    }
-
     /// Rows per allocation block.
     pub fn block_rows(&self) -> usize {
         self.block_rows
@@ -637,22 +729,22 @@ impl<T: Scalar> KvCache<T> {
 
     /// Total blocks carved from the **native** arena so far.
     pub fn allocated_blocks(&self) -> usize {
-        self.k_arena.len() / (self.block_rows * self.width)
+        self.native.allocated()
     }
 
     /// Total blocks carved from the **BF16** arena so far.
     pub fn allocated_blocks16(&self) -> usize {
-        self.k_arena16.len() / (self.block_rows * self.width)
+        self.bf16.allocated()
     }
 
     /// Native-arena blocks currently on the free list.
     pub fn free_block_list(&self) -> &[usize] {
-        &self.free_blocks
+        &self.native.free
     }
 
     /// BF16-arena blocks currently on the free list.
     pub fn free_block_list16(&self) -> &[usize] {
-        &self.free_blocks16
+        &self.bf16.free
     }
 
     /// The arena blocks retained by sequence `seq`, in position order
@@ -702,10 +794,9 @@ impl<T: Scalar> KvCache<T> {
     /// (plus the prefix registry) costs its bytes once, which is the
     /// memory win sharing exists for.
     pub fn live_kv_bytes(&self) -> usize {
-        let block_lanes = self.block_rows * self.width;
-        let native = self.allocated_blocks() - self.free_blocks.len();
-        let bf16 = self.allocated_blocks16() - self.free_blocks16.len();
-        2 * block_lanes * (native * core::mem::size_of::<T>() + bf16 * core::mem::size_of::<BF16>())
+        let native = self.native.owned() * core::mem::size_of::<T>();
+        let bf16 = self.bf16.owned() * core::mem::size_of::<BF16>();
+        2 * self.block_elems() * (native + bf16)
     }
 
     /// Registers a new (empty) sequence and returns its id, reusing a
@@ -850,22 +941,14 @@ impl<T: Scalar> KvCache<T> {
         // Appends land in the BF16 arena under the direct-BF16 format and
         // in the native arena otherwise (Mixed appends native, then
         // migrates — its BF16 demand is bounded by the same row count).
-        let appends_bf16 = self.format.appends_bf16();
-        let free_len = if appends_bf16 {
-            self.free_blocks16.len()
-        } else {
-            self.free_blocks.len()
-        };
-        let blocks = (additional_rows.div_ceil(self.block_rows) + self.live_sequences())
-            .saturating_sub(free_len);
-        let elems = blocks * self.block_rows * self.width;
-        if appends_bf16 {
-            self.k_arena16.reserve(elems);
-            self.v_arena16.reserve(elems);
-        } else {
-            self.k_arena.reserve(elems);
-            self.v_arena.reserve(elems);
-        }
+        let blocks = additional_rows.div_ceil(self.block_rows) + self.live_sequences();
+        let (bf16, block_elems) = (self.format.appends_bf16(), self.block_elems());
+        in_arena!(&mut self, bf16, |a| a.reserve(blocks, block_elems));
+    }
+
+    /// Lanes per block (all heads, one of K or V).
+    fn block_elems(&self) -> usize {
+        self.block_rows * self.width
     }
 
     fn live(&self, seq: usize) -> &SeqBlocks {
@@ -886,37 +969,11 @@ impl<T: Scalar> KvCache<T> {
     /// Claims a block in the requested arena — from its free list when
     /// possible, growing the arena otherwise. The claimed block starts
     /// with a reference count of one (sole owner).
-    fn claim_block(&mut self, bf16: bool) -> usize {
-        let block_elems = self.block_rows * self.width;
-        if bf16 {
-            if let Some(freed) = self.free_blocks16.pop() {
-                self.recycled_blocks += 1;
-                debug_assert_eq!(self.ref_counts16[freed], 0, "free-listed block had owners");
-                self.ref_counts16[freed] = 1;
-                return freed;
-            }
-            let fresh = self.k_arena16.len() / block_elems;
-            self.k_arena16
-                .resize(self.k_arena16.len() + block_elems, BF16::ZERO);
-            self.v_arena16
-                .resize(self.v_arena16.len() + block_elems, BF16::ZERO);
-            self.ref_counts16.push(1);
-            fresh
-        } else {
-            if let Some(freed) = self.free_blocks.pop() {
-                self.recycled_blocks += 1;
-                debug_assert_eq!(self.ref_counts[freed], 0, "free-listed block had owners");
-                self.ref_counts[freed] = 1;
-                return freed;
-            }
-            let fresh = self.k_arena.len() / block_elems;
-            self.k_arena
-                .resize(self.k_arena.len() + block_elems, T::zero());
-            self.v_arena
-                .resize(self.v_arena.len() + block_elems, T::zero());
-            self.ref_counts.push(1);
-            fresh
-        }
+    fn claim_block(&mut self, bf16: bool) -> BlockRef {
+        let block_elems = self.block_elems();
+        let (index, recycled) = in_arena!(&mut self, bf16, |a| a.claim(block_elems));
+        self.recycled_blocks += usize::from(recycled);
+        BlockRef { index, bf16 }
     }
 
     /// Drops one reference to `blk`, returning it to its arena's free
@@ -927,32 +984,15 @@ impl<T: Scalar> KvCache<T> {
     ///
     /// Panics if the block has no outstanding references (double free).
     pub(crate) fn release_block(&mut self, blk: BlockRef) -> bool {
-        let rc = if blk.bf16 {
-            &mut self.ref_counts16[blk.index]
-        } else {
-            &mut self.ref_counts[blk.index]
-        };
-        assert!(
-            *rc > 0,
-            "double free of {} block {}",
-            if blk.bf16 { "bf16" } else { "native" },
-            blk.index
-        );
-        *rc -= 1;
-        if *rc > 0 {
-            return false;
-        }
-        if self.defer_frees {
-            // Speculative window open: keep the lanes intact for
-            // rollback. The block is unreachable for claims (absent
-            // from the free lists) until the window's resolve flushes.
+        // While a speculative window is open, keep the lanes intact for
+        // rollback: the block is unreachable for claims (absent from the
+        // free lists) until the window's resolve flushes.
+        let defer = self.defer_frees;
+        let freed = in_arena!(&mut self, blk.bf16, |a| a.release(blk.index, defer));
+        if freed && defer {
             self.deferred_frees.push(blk);
-        } else if blk.bf16 {
-            self.free_blocks16.push(blk.index);
-        } else {
-            self.free_blocks.push(blk.index);
         }
-        true
+        freed
     }
 
     /// Starts deferring frees for an opening speculative window.
@@ -970,12 +1010,7 @@ impl<T: Scalar> KvCache<T> {
     /// `deferred_frees` with intact lanes, and restoring the snapshot
     /// resurrects the owner's reference.
     pub(crate) fn resurrect_block(&mut self, blk: BlockRef) {
-        let rc = if blk.bf16 {
-            &mut self.ref_counts16[blk.index]
-        } else {
-            &mut self.ref_counts[blk.index]
-        };
-        *rc += 1;
+        in_arena!(&mut self, blk.bf16, |a| a.refs[blk.index] += 1);
     }
 
     /// Ends the deferred-frees window: entries whose reference count is
@@ -984,45 +1019,27 @@ impl<T: Scalar> KvCache<T> {
     pub(crate) fn flush_deferred_frees(&mut self) {
         debug_assert!(self.defer_frees, "no deferred-frees window is open");
         self.defer_frees = false;
-        let deferred = core::mem::take(&mut self.deferred_frees);
-        for blk in deferred {
-            let rc = if blk.bf16 {
-                self.ref_counts16[blk.index]
-            } else {
-                self.ref_counts[blk.index]
-            };
-            if rc > 0 {
-                continue;
-            }
-            if blk.bf16 {
-                self.free_blocks16.push(blk.index);
-            } else {
-                self.free_blocks.push(blk.index);
-            }
+        for blk in core::mem::take(&mut self.deferred_frees) {
+            in_arena!(&mut self, blk.bf16, |a| if a.refs[blk.index] == 0 {
+                a.free.push(blk.index);
+            });
         }
     }
 
     /// Takes one additional reference on `blk` (a live owner is handing
     /// a copy of the handle to another owner).
     pub(crate) fn retain_block(&mut self, blk: BlockRef) {
-        let rc = if blk.bf16 {
-            &mut self.ref_counts16[blk.index]
-        } else {
-            &mut self.ref_counts[blk.index]
-        };
-        assert!(*rc > 0, "retaining a free block");
-        *rc += 1;
+        in_arena!(&mut self, blk.bf16, |a| {
+            assert!(a.refs[blk.index] > 0, "retaining a free block");
+            a.refs[blk.index] += 1;
+        });
     }
 
     /// Outstanding references on `blk` — zero for free-listed blocks,
     /// one for privately-owned blocks, more when a registered prefix (or
     /// several sequences sharing one) holds it.
     pub fn block_ref_count(&self, blk: BlockRef) -> u32 {
-        if blk.bf16 {
-            self.ref_counts16[blk.index]
-        } else {
-            self.ref_counts[blk.index]
-        }
+        in_arena!(&self, blk.bf16, |a| a.refs[blk.index])
     }
 
     /// Shared blocks copied before a divergent write so far (the
@@ -1037,8 +1054,7 @@ impl<T: Scalar> KvCache<T> {
     /// block **once**, which is exactly the arena-footprint win the
     /// sharing bench reports.
     pub fn live_unique_blocks(&self) -> usize {
-        self.allocated_blocks() - self.free_blocks.len() + self.allocated_blocks16()
-            - self.free_blocks16.len()
+        self.native.owned() + self.bf16.owned()
     }
 
     /// Demotes sequence `seq`'s full native blocks beyond the newest
@@ -1078,31 +1094,25 @@ impl<T: Scalar> KvCache<T> {
     /// Demotes `seq`'s first `demote_until` retained blocks (those not
     /// already BF16) to the BF16 arena, returning the demoted ranges.
     fn demote_blocks(&mut self, seq: usize, demote_until: usize) -> Vec<core::ops::Range<usize>> {
-        let block_elems = self.block_rows * self.width;
+        let block_elems = self.block_elems();
         let mut demoted = Vec::new();
         for i in 0..demote_until {
-            if self.seqs[seq].blocks[i].bf16 {
+            let native = self.seqs[seq].blocks[i];
+            if native.bf16 {
                 continue;
             }
-            let native = self.seqs[seq].blocks[i].index;
-            let b16 = self.claim_block(true);
-            let (src, dst) = (native * block_elems, b16 * block_elems);
-            for e in 0..block_elems {
-                self.k_arena16[dst + e] = round_bf16(self.k_arena[src + e]);
-                self.v_arena16[dst + e] = round_bf16(self.v_arena[src + e]);
-            }
+            let demoted_ref = self.claim_block(true);
+            let src = native.index * block_elems..(native.index + 1) * block_elems;
+            self.bf16.write(
+                demoted_ref.index * block_elems,
+                &self.native.k[src.clone()],
+                &self.native.v[src],
+            );
             // Demotion of a *shared* block is copy-on-write by
             // construction: this sequence walks away with a private
             // rounded copy while the native block stays alive for its
             // other readers (freed only when the last one lets go).
-            self.release_block(BlockRef {
-                index: native,
-                bf16: false,
-            });
-            let demoted_ref = BlockRef {
-                index: b16,
-                bf16: true,
-            };
+            self.release_block(native);
             self.seqs[seq].blocks[i] = demoted_ref;
             // The stored rows changed format: rebuild the block's
             // reference checksum from the rounded storage.
@@ -1182,92 +1192,44 @@ impl<T: Scalar> KvCache<T> {
     ) -> AppendOutcome {
         assert_eq!(k.len(), self.width, "key row width mismatch");
         assert_eq!(v.len(), self.width, "value row width mismatch");
-        let block_elems = self.block_rows * self.width;
         let state = self.live(seq);
         let local = state.len - state.start;
         let mut outcome = AppendOutcome::default();
         if local == state.blocks.len() * self.block_rows {
             // Current block full (or first append): claim the next block,
             // recycling a retired block when one is free.
-            let bf16 = self.format.appends_bf16();
-            let block = self.claim_block(bf16);
+            let block = self.claim_block(self.format.appends_bf16());
             let heads = self.heads;
             let state = &mut self.seqs[seq];
-            state.blocks.push(BlockRef { index: block, bf16 });
+            state.blocks.push(block);
             state.checks.push(BlockCheck::zeroed(heads));
             if let KvFormat::Mixed { burst_blocks } = self.format {
                 outcome.demoted = self.demote_beyond_burst(seq, burst_blocks);
             }
         }
+        let state = self.live(seq);
+        let local = state.len - state.start;
+        let (bi, r) = (local / self.block_rows, local % self.block_rows);
+        let mut blk = state.blocks[bi];
         // Copy-on-write: appending must not mutate a block other owners
         // (co-readers of a shared prefix, or the prefix registry) still
         // read. Claim a private block in the same arena, copy the stored
         // lanes bitwise — the block's reference checksum stays valid
         // because the bits are identical — and drop one reference on the
         // shared original.
-        {
-            let state = self.live(seq);
-            let bi = (state.len - state.start) / self.block_rows;
-            let target = state.blocks[bi];
-            if self.block_ref_count(target) > 1 {
-                let fresh = self.claim_block(target.bf16);
-                let (src, dst) = (target.index * block_elems, fresh * block_elems);
-                if target.bf16 {
-                    self.k_arena16.copy_within(src..src + block_elems, dst);
-                    self.v_arena16.copy_within(src..src + block_elems, dst);
-                } else {
-                    self.k_arena.copy_within(src..src + block_elems, dst);
-                    self.v_arena.copy_within(src..src + block_elems, dst);
-                }
-                self.release_block(target);
-                self.seqs[seq].blocks[bi] = BlockRef {
-                    index: fresh,
-                    bf16: target.bf16,
-                };
-                self.cow_copies += 1;
-            }
+        if self.block_ref_count(blk) > 1 {
+            let fresh = self.claim_block(blk.bf16);
+            let (src, dst, block_elems) = (blk.index, fresh.index, self.block_elems());
+            in_arena!(&mut self, blk.bf16, |a| a.copy_block(src, dst, block_elems));
+            self.release_block(blk);
+            self.seqs[seq].blocks[bi] = fresh;
+            self.cow_copies += 1;
+            blk = fresh;
         }
-        let state = &self.seqs[seq];
-        let local = state.len - state.start;
-        let blk = state.blocks[local / self.block_rows];
-        let r = local % self.block_rows;
-        let base = blk.index * block_elems;
-        let d = self.head_dim;
-        // Lane offsets by layout: token-major rows are contiguous; the
-        // head-major scatter happens once on append (cold path: one row
-        // per step) so every later read of the head panels streams
-        // contiguously (hot path: the whole history per step).
-        let mut write_head = |h: usize, slot: usize| {
-            if blk.bf16 {
-                for (e, (&kx, &vx)) in k[h * d..(h + 1) * d]
-                    .iter()
-                    .zip(&v[h * d..(h + 1) * d])
-                    .enumerate()
-                {
-                    self.k_arena16[slot + e] = round_bf16(kx);
-                    self.v_arena16[slot + e] = round_bf16(vx);
-                }
-            } else {
-                self.k_arena[slot..slot + d].copy_from_slice(&k[h * d..(h + 1) * d]);
-                self.v_arena[slot..slot + d].copy_from_slice(&v[h * d..(h + 1) * d]);
-            }
-        };
-        match self.layout {
-            KvLayout::TokenMajor => {
-                for h in 0..self.heads {
-                    write_head(h, base + r * self.width + h * d);
-                }
-            }
-            KvLayout::HeadMajor => {
-                for h in 0..self.heads {
-                    write_head(h, base + (h * self.block_rows + r) * d);
-                }
-            }
-        }
+        self.write_row(blk, r, k, v);
         // Fold the stored row (post-rounding, for BF16 blocks) into the
         // block's reference checksum — per head, rows accumulate in
         // append order, matching `recompute_block_check`'s fold bitwise.
-        let bi = local / self.block_rows;
         for h in 0..self.heads {
             let (ks, vs) = self.stored_lane_sums(blk, r, h);
             let check = &mut self.seqs[seq].checks[bi];
@@ -1301,18 +1263,31 @@ impl<T: Scalar> KvCache<T> {
         )
     }
 
-    /// Element offset of row `r`, head `head` within a block.
+    /// Arena offset of row `r`, head `head` of block `blk`: the block's
+    /// head panels are contiguous `block_rows × head_dim` runs.
     #[inline]
-    fn lane_offset(&self, r: usize, head: usize) -> usize {
-        match self.layout {
-            KvLayout::TokenMajor => r * self.width + head * self.head_dim,
-            KvLayout::HeadMajor => (head * self.block_rows + r) * self.head_dim,
-        }
+    fn lane_slot(&self, blk: BlockRef, r: usize, head: usize) -> usize {
+        blk.index * self.block_elems() + (head * self.block_rows + r) * self.head_dim
+    }
+
+    /// Stores one full K/V row at row `r` of `blk`, scattering it into the
+    /// block's head panels in the block's arena format — the one row
+    /// write, shared by appends and repair. The scatter happens once per
+    /// append (cold path: one row per step) so every later read of the
+    /// head panels streams contiguously (hot path: the whole history per
+    /// step).
+    fn write_row(&mut self, blk: BlockRef, r: usize, k: &[T], v: &[T]) {
+        let (d, heads) = (self.head_dim, self.heads);
+        let (base, panel) = (self.lane_slot(blk, r, 0), self.block_rows * d);
+        in_arena!(&mut self, blk.bf16, |a| for h in 0..heads {
+            let lanes = h * d..(h + 1) * d;
+            a.write(base + h * panel, &k[lanes.clone()], &v[lanes]);
+        });
     }
 
     /// The cached key row at position `i` of sequence `seq`, gathered
-    /// across heads (a copy — with the head-major layout a full row is
-    /// not contiguous). Demoted rows widen their BF16 values back into
+    /// across heads (a copy — in a head-major block a full row is not
+    /// contiguous). Demoted rows widen their BF16 values back into
     /// `T` (exact: BF16 ⊂ every wider format here).
     ///
     /// # Panics
@@ -1336,26 +1311,15 @@ impl<T: Scalar> KvCache<T> {
 
     fn gather_row(&self, keys: bool, seq: usize, i: usize) -> Vec<T> {
         let (blk, r) = self.block_of(seq, i);
-        let base = blk.index * self.block_rows * self.width;
         let d = self.head_dim;
         let mut out = Vec::with_capacity(self.width);
         for h in 0..self.heads {
-            let slot = base + self.lane_offset(r, h);
-            if blk.bf16 {
-                let arena = if keys {
-                    &self.k_arena16
-                } else {
-                    &self.v_arena16
-                };
-                out.extend(
-                    arena[slot..slot + d]
-                        .iter()
-                        .map(|x| T::from_f64(x.to_f64())),
-                );
-            } else {
-                let arena = if keys { &self.k_arena } else { &self.v_arena };
-                out.extend_from_slice(&arena[slot..slot + d]);
-            }
+            let slot = self.lane_slot(blk, r, h);
+            let lanes = slot..slot + d;
+            in_arena!(&self, blk.bf16, |a| {
+                let stored = if keys { &a.k[lanes] } else { &a.v[lanes] };
+                out.extend(stored.iter().map(|x| T::from_f64(x.to_f64())));
+            });
         }
         out
     }
@@ -1381,31 +1345,8 @@ impl<T: Scalar> KvCache<T> {
     /// reference-checksum update and the audit recompute fold, so the
     /// two can never disagree on summation order.
     fn stored_lane_sums(&self, blk: BlockRef, r: usize, head: usize) -> (f64, f64) {
-        let slot = blk.index * self.block_rows * self.width + self.lane_offset(r, head);
-        let d = self.head_dim;
-        if blk.bf16 {
-            (
-                self.k_arena16[slot..slot + d]
-                    .iter()
-                    .map(|x| x.to_f64())
-                    .sum(),
-                self.v_arena16[slot..slot + d]
-                    .iter()
-                    .map(|x| x.to_f64())
-                    .sum(),
-            )
-        } else {
-            (
-                self.k_arena[slot..slot + d]
-                    .iter()
-                    .map(|x| x.to_f64())
-                    .sum(),
-                self.v_arena[slot..slot + d]
-                    .iter()
-                    .map(|x| x.to_f64())
-                    .sum(),
-            )
-        }
+        let slot = self.lane_slot(blk, r, head);
+        in_arena!(&self, blk.bf16, |a| a.lane_sums(slot, self.head_dim))
     }
 
     /// Recomputes one block's [`BlockCheck`] from its stored rows: per
@@ -1434,48 +1375,10 @@ impl<T: Scalar> KvCache<T> {
         &self.live(seq).checks
     }
 
-    /// Iterates sequence `seq` block by block as
-    /// `(first_position, key_rows, value_rows)` — contiguous row-major
-    /// full-width spans of up to [`Self::block_rows`] rows, in position
-    /// order. Only meaningful for the token-major layout, where full rows
-    /// are contiguous; per-head streaming (either layout) goes through
-    /// [`head_stream`](Self::head_stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is out of range or retired, or the layout is
-    /// head-major.
-    pub fn blocks(&self, seq: usize) -> impl Iterator<Item = (usize, &[T], &[T])> + '_ {
-        assert_eq!(
-            self.layout,
-            KvLayout::TokenMajor,
-            "blocks() requires the token-major layout"
-        );
-        let state = self.live(seq);
-        let block_elems = self.block_rows * self.width;
-        state.blocks.iter().enumerate().map(move |(bi, &blk)| {
-            assert!(
-                !blk.bf16,
-                "blocks() requires native blocks; mixed-format caches stream \
-                 through head_stream"
-            );
-            let first = state.start + bi * self.block_rows;
-            let rows = (state.len - first).min(self.block_rows);
-            let base = blk.index * block_elems;
-            (
-                first,
-                &self.k_arena[base..base + rows * self.width],
-                &self.v_arena[base..base + rows * self.width],
-            )
-        })
-    }
-
     /// Streams one head of sequence `seq` block by block — the decode
-    /// kernels' access path. With the head-major layout every yielded
-    /// view is one pure contiguous span (`stride == head_dim`); with
-    /// token-major the views stride at `width`. Each block carries its
-    /// storage format ([`HeadBlockData`]); evicted leading blocks are
-    /// simply absent (`first` starts at
+    /// kernels' access path. Every yielded view is one pure contiguous
+    /// span, tagged with its block's storage format ([`HeadBlockData`]);
+    /// evicted leading blocks are simply absent (`first` starts at
     /// [`first_retained`](Self::first_retained)).
     ///
     /// # Panics
@@ -1484,42 +1387,13 @@ impl<T: Scalar> KvCache<T> {
     /// range.
     pub fn head_stream(&self, seq: usize, head: usize) -> impl Iterator<Item = HeadBlock<'_, T>> {
         assert!(head < self.heads, "head {head} out of {}", self.heads);
-        let state = self.live(seq);
-        let d = self.head_dim;
-        let block_elems = self.block_rows * self.width;
-        let (off, stride) = match self.layout {
-            KvLayout::TokenMajor => (head * d, self.width),
-            KvLayout::HeadMajor => (head * self.block_rows * d, d),
-        };
-        state.blocks.iter().enumerate().map(move |(bi, &blk)| {
-            let first = state.start + bi * self.block_rows;
-            let rows = (state.len - first).min(self.block_rows);
-            let base = blk.index * block_elems + off;
-            let span = (rows - 1) * stride + d;
-            let data = if blk.bf16 {
-                HeadBlockData::Demoted {
-                    k: &self.k_arena16[base..base + span],
-                    v: &self.v_arena16[base..base + span],
-                }
-            } else {
-                HeadBlockData::Native {
-                    k: &self.k_arena[base..base + span],
-                    v: &self.v_arena[base..base + span],
-                }
-            };
-            HeadBlock {
-                first,
-                rows,
-                stride,
-                data,
-            }
-        })
+        let retained = self.live(seq).blocks.len();
+        (0..retained).map(move |bi| self.head_block(seq, bi, head))
     }
 
     /// One element of [`head_stream`](Self::head_stream) by retained
-    /// block index — the shared-block score builder's random-access view
-    /// (identical slicing, so scoring through it is scoring the same
-    /// lanes).
+    /// block index — also the shared-block score builder's random-access
+    /// view, so scoring through either is scoring the same lanes.
     ///
     /// # Panics
     ///
@@ -1528,34 +1402,23 @@ impl<T: Scalar> KvCache<T> {
     pub(crate) fn head_block(&self, seq: usize, bi: usize, head: usize) -> HeadBlock<'_, T> {
         assert!(head < self.heads, "head {head} out of {}", self.heads);
         let state = self.live(seq);
-        let d = self.head_dim;
-        let block_elems = self.block_rows * self.width;
-        let (off, stride) = match self.layout {
-            KvLayout::TokenMajor => (head * d, self.width),
-            KvLayout::HeadMajor => (head * self.block_rows * d, d),
-        };
         let blk = state.blocks[bi];
         let first = state.start + bi * self.block_rows;
         let rows = (state.len - first).min(self.block_rows);
-        let base = blk.index * block_elems + off;
-        let span = (rows - 1) * stride + d;
+        let base = self.lane_slot(blk, 0, head);
+        let span = base..base + rows * self.head_dim;
         let data = if blk.bf16 {
             HeadBlockData::Demoted {
-                k: &self.k_arena16[base..base + span],
-                v: &self.v_arena16[base..base + span],
+                k: &self.bf16.k[span.clone()],
+                v: &self.bf16.v[span],
             }
         } else {
             HeadBlockData::Native {
-                k: &self.k_arena[base..base + span],
-                v: &self.v_arena[base..base + span],
+                k: &self.native.k[span.clone()],
+                v: &self.native.v[span],
             }
         };
-        HeadBlock {
-            first,
-            rows,
-            stride,
-            data,
-        }
+        HeadBlock { first, rows, data }
     }
 }
 
@@ -1934,9 +1797,10 @@ pub struct DecodeBatch<T: Scalar> {
 
 impl<T: Scalar> DecodeBatch<T> {
     /// Creates an empty engine with the given head topology and KV-cache
-    /// block size (rows per block), using the head-major cache layout.
-    /// Accepts anything convertible into a [`HeadTopology`] — a topology
-    /// itself, a [`MultiHeadConfig`](crate::multihead::MultiHeadConfig)
+    /// block size (rows per block) and the default policy (native format,
+    /// retain-all) — the golden path. Accepts anything convertible
+    /// into a [`HeadTopology`] — a topology itself, a
+    /// [`MultiHeadConfig`](crate::multihead::MultiHeadConfig)
     /// (the `kv_heads == query_heads` point), or a
     /// [`GqaConfig`](crate::gqa::GqaConfig).
     ///
@@ -1944,30 +1808,10 @@ impl<T: Scalar> DecodeBatch<T> {
     ///
     /// Panics if `block_rows == 0`.
     pub fn new(cfg: impl Into<HeadTopology>, block_rows: usize) -> Self {
-        Self::with_layout(cfg, block_rows, KvLayout::HeadMajor)
-    }
-
-    /// Like [`new`](Self::new) but with the token-major cache layout —
-    /// the PR-2 arrangement, kept as the layout-equivalence reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_rows == 0`.
-    pub fn new_token_major(cfg: impl Into<HeadTopology>, block_rows: usize) -> Self {
-        Self::with_layout(cfg, block_rows, KvLayout::TokenMajor)
-    }
-
-    /// Creates an empty engine with an explicit cache layout and the
-    /// default policy (native format, retain-all) — the PR-3 golden path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_rows == 0`.
-    pub fn with_layout(cfg: impl Into<HeadTopology>, block_rows: usize, layout: KvLayout) -> Self {
         Self::with_policy(
             cfg,
             block_rows,
-            layout,
+            KvLayout::HeadMajor,
             KvFormat::F64,
             EvictionPolicy::RetainAll,
         )
@@ -1976,10 +1820,11 @@ impl<T: Scalar> DecodeBatch<T> {
     /// Creates an empty engine with explicit cache format and eviction
     /// policies — the full policy-layer constructor. With
     /// `KvFormat::F64` + `EvictionPolicy::RetainAll` the engine is
-    /// bit-identical to the PR-3 golden path at every layout and block
+    /// bit-identical to the per-sequence golden sessions at every block
     /// size (property-tested), and with `kv_heads == query_heads` it is
-    /// bit-identical to the PR-4 per-query-head engine across **all**
-    /// policy combinations.
+    /// bit-identical to the per-query-head engine across **all** policy
+    /// combinations. `layout` can only be
+    /// [`KvLayout::HeadMajor`].
     ///
     /// The cache is allocated per **kv head**: each block holds
     /// `kv_heads` contiguous panels, so a grouped topology's arena bound
@@ -2123,7 +1968,7 @@ impl<T: Scalar> DecodeBatch<T> {
 
     /// Registers a new (empty) sequence and returns its id, reusing a
     /// retired slot (and, transitively, its freed cache blocks) when one
-    /// is available. The slot's [`SequenceState`] is reset.
+    /// is available. The slot's `SequenceState` is reset.
     pub fn add_sequence(&mut self) -> usize {
         let seq = self.cache.add_sequence();
         if seq == self.seqs.len() {
@@ -3546,8 +3391,8 @@ impl<T: Scalar> DecodeBatch<T> {
                         ops::dot_then_scale_rows_multi_into(
                             &s.packed[g],
                             d,
-                            &k[r0 * hb.stride..],
-                            hb.stride,
+                            &k[r0 * d..],
+                            d,
                             rows,
                             scale,
                             &mut s.scores[base..s.used],
@@ -3566,8 +3411,8 @@ impl<T: Scalar> DecodeBatch<T> {
                         ops::dot_then_scale_rows_multi_bf16_into(
                             &s.packed_wide[g],
                             d,
-                            &k[r0 * hb.stride..],
-                            hb.stride,
+                            &k[r0 * d..],
+                            d,
                             rows,
                             scale,
                             &mut s.scores[base..s.used],
@@ -3600,8 +3445,8 @@ impl<T: Scalar> DecodeBatch<T> {
     ///
     /// `q_group` packs the group's query sub-rows member-major
     /// (`group_size · d` lanes). Each block is scored per member through
-    /// the contiguous-stream [`ops::dot_then_scale_rows`] kernel (with
-    /// the head-major layout the K panel is one pure contiguous span) —
+    /// the contiguous-stream [`ops::dot_then_scale_rows`] kernel (the K
+    /// panel is one pure contiguous span) —
     /// unless `shared` carries this (sequence, kv head) pass's
     /// shared-score row (per-block tile locations plus the step's score
     /// arena): then the slice is consumed directly, skipping the
@@ -3690,8 +3535,8 @@ impl<T: Scalar> DecodeBatch<T> {
                         } else {
                             ops::dot_then_scale_rows(
                                 &q_group[m * d..(m + 1) * d],
-                                &k[r0 * blk.stride..],
-                                blk.stride,
+                                &k[r0 * d..],
+                                d,
                                 r1 - r0,
                                 scale,
                                 scores,
@@ -3703,7 +3548,6 @@ impl<T: Scalar> DecodeBatch<T> {
                             lanes,
                             member_scores,
                             v,
-                            blk.stride,
                             r0,
                             blk.first,
                             sumrows,
@@ -3720,8 +3564,8 @@ impl<T: Scalar> DecodeBatch<T> {
                         } else {
                             ops::dot_then_scale_rows_bf16(
                                 &q_wide[m * d..(m + 1) * d],
-                                &k[r0 * blk.stride..],
-                                blk.stride,
+                                &k[r0 * d..],
+                                d,
                                 r1 - r0,
                                 scale,
                                 scores,
@@ -3733,7 +3577,6 @@ impl<T: Scalar> DecodeBatch<T> {
                             lanes,
                             member_scores,
                             v,
-                            blk.stride,
                             r0,
                             blk.first,
                             sumrows,
@@ -3766,7 +3609,6 @@ fn accumulate_block<V: Scalar>(
     lanes: &mut [f64],
     scores: &[f64],
     v: &[V],
-    stride: usize,
     r0: usize,
     first: usize,
     sumrows: &[f64],
@@ -3778,7 +3620,7 @@ fn accumulate_block<V: Scalar>(
     for (j, &s) in scores.iter().enumerate() {
         let r = r0 + j;
         let step = os.push(s);
-        let vo = r * stride;
+        let vo = r * d;
         ops::axpy_f64(
             &mut lanes[..d],
             &v[vo..vo + d],
@@ -3810,38 +3652,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_blocks_are_contiguous_and_ordered() {
-        let mut cache = KvCache::<f64>::new(2, 3);
-        let s0 = cache.add_sequence();
-        let s1 = cache.add_sequence();
-        // Interleave appends so the two sequences' blocks interleave in
-        // the arena.
-        for i in 0..7 {
-            cache.append(s0, &[i as f64, 0.0], &[10.0 + i as f64, 0.0]);
-            if i < 4 {
-                cache.append(s1, &[100.0 + i as f64, 0.0], &[0.0, i as f64]);
-            }
-        }
-        assert_eq!(cache.seq_len(s0), 7);
-        assert_eq!(cache.seq_len(s1), 4);
-        let mut pos = 0;
-        for (first, k_rows, v_rows) in cache.blocks(s0) {
-            assert_eq!(first, pos);
-            let rows = k_rows.len() / 2;
-            for r in 0..rows {
-                assert_eq!(k_rows[r * 2], (first + r) as f64);
-                assert_eq!(v_rows[r * 2], 10.0 + (first + r) as f64);
-            }
-            pos += rows;
-        }
-        assert_eq!(pos, 7);
-        assert_eq!(cache.key_row(s1, 3)[0], 103.0);
-    }
-
-    #[test]
     fn head_major_blocks_are_contiguous_per_head() {
         // 2 heads × dim 2, 3-row blocks: each head's panel must stream
-        // contiguously (stride == head_dim) and reproduce the appended
+        // contiguously and reproduce the appended
         // rows in position order.
         let mut cache = KvCache::<f64>::new_head_major(2, 2, 3);
         let s = cache.add_sequence();
@@ -3856,7 +3669,6 @@ mod tests {
         for head in 0..2 {
             let mut pos = 0;
             for blk in cache.head_stream(s, head) {
-                assert_eq!(blk.stride, 2, "head-major panels are contiguous");
                 assert_eq!(blk.first, pos);
                 let HeadBlockData::Native { k, v } = blk.data else {
                     panic!("default-policy cache yields native blocks");
@@ -3915,41 +3727,39 @@ mod tests {
     fn batched_decode_matches_serial_sessions_bitwise() {
         // The load-bearing equivalence: DecodeBatch over S sequences and
         // H heads must equal one DecodeSession per (sequence, head), bit
-        // for bit, for any cache block size and either layout.
+        // for bit, for any cache block size.
         let cfg = MultiHeadConfig::new(3, AttentionConfig::new(4));
         let (s, steps) = (4, 6);
-        for layout in [KvLayout::HeadMajor, KvLayout::TokenMajor] {
-            for block_rows in [1, 2, 16] {
-                let mut batch = DecodeBatch::<f64>::with_layout(cfg, block_rows, layout);
-                let ids: Vec<usize> = (0..s).map(|_| batch.add_sequence()).collect();
-                let mut sessions: Vec<Vec<DecodeSession<f64>>> = (0..s)
-                    .map(|_| (0..3).map(|_| DecodeSession::new(cfg.head)).collect())
-                    .collect();
-                for t in 0..steps {
-                    let seed = 9000 + t as u64;
-                    let qs = rand(s, cfg.model_dim(), seed);
-                    let ks = rand(s, cfg.model_dim(), seed + 100);
-                    let vs = rand(s, cfg.model_dim(), seed + 200);
-                    let outs = batch.step_all(&ids, &qs, &ks, &vs);
-                    for (i, out) in outs.iter().enumerate() {
-                        for (h, session) in sessions[i].iter_mut().enumerate() {
-                            let slice = |m: &Matrix<f64>| m.row(i)[h * 4..(h + 1) * 4].to_vec();
-                            let reference = session.step(&slice(&qs), &slice(&ks), &slice(&vs));
-                            for (c, r) in reference.iter().enumerate() {
-                                assert_eq!(
-                                    out.output[h * 4 + c].to_bits(),
-                                    r.to_bits(),
-                                    "{layout:?} block_rows {block_rows} step {t} seq {i} \
-                                     head {h} lane {c}"
-                                );
-                            }
+        for block_rows in [1, 2, 16] {
+            let mut batch = DecodeBatch::<f64>::new(cfg, block_rows);
+            let ids: Vec<usize> = (0..s).map(|_| batch.add_sequence()).collect();
+            let mut sessions: Vec<Vec<DecodeSession<f64>>> = (0..s)
+                .map(|_| (0..3).map(|_| DecodeSession::new(cfg.head)).collect())
+                .collect();
+            for t in 0..steps {
+                let seed = 9000 + t as u64;
+                let qs = rand(s, cfg.model_dim(), seed);
+                let ks = rand(s, cfg.model_dim(), seed + 100);
+                let vs = rand(s, cfg.model_dim(), seed + 200);
+                let outs = batch.step_all(&ids, &qs, &ks, &vs);
+                for (i, out) in outs.iter().enumerate() {
+                    for (h, session) in sessions[i].iter_mut().enumerate() {
+                        let slice = |m: &Matrix<f64>| m.row(i)[h * 4..(h + 1) * 4].to_vec();
+                        let reference = session.step(&slice(&qs), &slice(&ks), &slice(&vs));
+                        for (c, r) in reference.iter().enumerate() {
+                            assert_eq!(
+                                out.output[h * 4 + c].to_bits(),
+                                r.to_bits(),
+                                "block_rows {block_rows} step {t} seq {i} \
+                                 head {h} lane {c}"
+                            );
                         }
-                        assert!(out.residual().abs() < 1e-12, "checksum holds");
                     }
+                    assert!(out.residual().abs() < 1e-12, "checksum holds");
                 }
-                for &id in &ids {
-                    assert!(batch.global_residual(id).abs() < 1e-10);
-                }
+            }
+            for &id in &ids {
+                assert!(batch.global_residual(id).abs() < 1e-10);
             }
         }
     }
@@ -4534,45 +4344,43 @@ mod tests {
         // The grouped engine: one cached K/V stream per kv head, each
         // group pass feeding group_size query states. Every query head
         // must equal a plain DecodeSession fed its group's K/V slices,
-        // bit for bit, at every layout and block size.
+        // bit for bit, at every block size.
         let d = 4;
         let gqa = GqaConfig::new(4, 2, AttentionConfig::new(d));
         let topo = gqa.topology();
-        for layout in [KvLayout::HeadMajor, KvLayout::TokenMajor] {
-            for block_rows in [1, 3, 16] {
-                let mut engine = DecodeBatch::<f64>::with_layout(gqa, block_rows, layout);
-                let ids = vec![engine.add_sequence(), engine.add_sequence()];
-                let mut sessions: Vec<Vec<DecodeSession<f64>>> = (0..2)
-                    .map(|_| (0..4).map(|_| DecodeSession::new(gqa.head)).collect())
-                    .collect();
-                for t in 0..7u64 {
-                    let qs = rand(2, topo.q_dim(), 4000 + t);
-                    let ks = rand(2, topo.kv_dim(), 4100 + t);
-                    let vs = rand(2, topo.kv_dim(), 4200 + t);
-                    let outs = engine.step_all(&ids, &qs, &ks, &vs);
-                    for (i, out) in outs.iter().enumerate() {
-                        assert!(out.residual().abs() < 1e-10, "fused check holds");
-                        for (h, session) in sessions[i].iter_mut().enumerate() {
-                            let g = topo.group_of(h);
-                            let reference = session.step(
-                                &qs.row(i)[topo.q_head_cols(h)],
-                                &ks.row(i)[topo.kv_head_cols(g)],
-                                &vs.row(i)[topo.kv_head_cols(g)],
+        for block_rows in [1, 3, 16] {
+            let mut engine = DecodeBatch::<f64>::new(gqa, block_rows);
+            let ids = vec![engine.add_sequence(), engine.add_sequence()];
+            let mut sessions: Vec<Vec<DecodeSession<f64>>> = (0..2)
+                .map(|_| (0..4).map(|_| DecodeSession::new(gqa.head)).collect())
+                .collect();
+            for t in 0..7u64 {
+                let qs = rand(2, topo.q_dim(), 4000 + t);
+                let ks = rand(2, topo.kv_dim(), 4100 + t);
+                let vs = rand(2, topo.kv_dim(), 4200 + t);
+                let outs = engine.step_all(&ids, &qs, &ks, &vs);
+                for (i, out) in outs.iter().enumerate() {
+                    assert!(out.residual().abs() < 1e-10, "fused check holds");
+                    for (h, session) in sessions[i].iter_mut().enumerate() {
+                        let g = topo.group_of(h);
+                        let reference = session.step(
+                            &qs.row(i)[topo.q_head_cols(h)],
+                            &ks.row(i)[topo.kv_head_cols(g)],
+                            &vs.row(i)[topo.kv_head_cols(g)],
+                        );
+                        for (c, r) in reference.iter().enumerate() {
+                            assert_eq!(
+                                out.output[h * d + c].to_bits(),
+                                r.to_bits(),
+                                "block_rows {block_rows} step {t} seq {i} \
+                                 head {h} lane {c}"
                             );
-                            for (c, r) in reference.iter().enumerate() {
-                                assert_eq!(
-                                    out.output[h * d + c].to_bits(),
-                                    r.to_bits(),
-                                    "{layout:?} block_rows {block_rows} step {t} seq {i} \
-                                     head {h} lane {c}"
-                                );
-                            }
                         }
                     }
                 }
-                for &id in &ids {
-                    assert!(engine.global_residual(id).abs() < 1e-9);
-                }
+            }
+            for &id in &ids {
+                assert!(engine.global_residual(id).abs() < 1e-9);
             }
         }
     }

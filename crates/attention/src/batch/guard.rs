@@ -47,7 +47,7 @@
 //! lanes agree with the poison. Corruption must be audited before the
 //! block ages out of the burst.
 
-use super::{round_bf16, DecodeBatch};
+use super::DecodeBatch;
 use fa_numerics::BF16;
 use fa_tensor::Scalar;
 
@@ -220,6 +220,26 @@ pub struct RepairReport {
     pub blocks_unrecoverable: usize,
 }
 
+/// The stored formats a storage flip targets: the f64 engine's native
+/// arena and the BF16 arena.
+trait FlipBit {
+    /// Flips bit `bit` (taken modulo the format's width) of the raw
+    /// encoding.
+    fn flip_bit(self, bit: u32) -> Self;
+}
+
+impl FlipBit for f64 {
+    fn flip_bit(self, bit: u32) -> f64 {
+        f64::from_bits(self.to_bits() ^ (1u64 << (bit % 64)))
+    }
+}
+
+impl FlipBit for BF16 {
+    fn flip_bit(self, bit: u32) -> BF16 {
+        BF16::from_bits(self.to_bits() ^ (1 << (bit % 16)))
+    }
+}
+
 /// Bit-level injection and block-granular audit/recovery are defined on
 /// the f64 serving engine (bit flips are format-specific; the f64 engine
 /// is the one the serving stack and benches run, with BF16 storage
@@ -282,24 +302,11 @@ impl DecodeBatch<f64> {
         assert!(kv_head < self.cache.heads, "kv head out of range");
         assert!(lane < d, "lane out of range");
         let (blk, r) = self.cache.block_of(seq, pos);
-        let slot = blk.index * self.cache.block_rows * self.cache.width
-            + self.cache.lane_offset(r, kv_head)
-            + lane;
-        if blk.bf16 {
-            let arena = if key_side {
-                &mut self.cache.k_arena16
-            } else {
-                &mut self.cache.v_arena16
-            };
-            arena[slot] = BF16::from_bits(arena[slot].to_bits() ^ (1 << (bit % 16)));
-        } else {
-            let arena = if key_side {
-                &mut self.cache.k_arena
-            } else {
-                &mut self.cache.v_arena
-            };
-            arena[slot] = f64::from_bits(arena[slot].to_bits() ^ (1u64 << (bit % 64)));
-        }
+        let slot = self.cache.lane_slot(blk, r, kv_head) + lane;
+        in_arena!(&mut self.cache, blk.bf16, |a| {
+            let lanes = if key_side { &mut a.k } else { &mut a.v };
+            lanes[slot] = lanes[slot].flip_bit(bit);
+        });
         blk.bf16
     }
 
@@ -428,10 +435,11 @@ impl DecodeBatch<f64> {
     }
 
     /// Rewrites retained block `block` of sequence `seq` from the
-    /// recovery log — **only this block** — honoring the block's storage
-    /// format (native rows are copied back exactly; BF16 rows re-round
-    /// through the cache's single [`round_bf16`] helper, reproducing the
-    /// never-corrupted stored bits exactly), then rebuilds the block's
+    /// recovery log — **only this block** — through the cache's one row
+    /// write, which honors the block's storage format (native rows are
+    /// copied back exactly; BF16 rows re-round like
+    /// [`round_bf16`](super::round_bf16), reproducing the never-corrupted
+    /// stored bits exactly), then rebuilds the block's
     /// reference checksum and its positions' `sumrow` inputs from the
     /// restored storage. Returns the number of rows rewritten (the
     /// recovery cost).
@@ -457,8 +465,6 @@ impl DecodeBatch<f64> {
         let first = state.start + block * cache.block_rows;
         let rows = (state.len - first).min(cache.block_rows);
         let width = cache.width;
-        let d = cache.head_dim;
-        let base = blk.index * cache.block_rows * width;
         let log = &self.seqs[seq];
         assert!(
             log.log_start <= first,
@@ -467,22 +473,9 @@ impl DecodeBatch<f64> {
             log.log_start
         );
         for r in 0..rows {
-            let pos = first + r;
-            let lr = pos - log.log_start;
-            let logged_k = &log.log_k[lr * width..(lr + 1) * width];
-            let logged_v = &log.log_v[lr * width..(lr + 1) * width];
-            for h in 0..cache.heads {
-                let slot = base + cache.lane_offset(r, h);
-                if blk.bf16 {
-                    for e in 0..d {
-                        cache.k_arena16[slot + e] = round_bf16(logged_k[h * d + e]);
-                        cache.v_arena16[slot + e] = round_bf16(logged_v[h * d + e]);
-                    }
-                } else {
-                    cache.k_arena[slot..slot + d].copy_from_slice(&logged_k[h * d..(h + 1) * d]);
-                    cache.v_arena[slot..slot + d].copy_from_slice(&logged_v[h * d..(h + 1) * d]);
-                }
-            }
+            let lr = first + r - log.log_start;
+            let logged = lr * width..(lr + 1) * width;
+            cache.write_row(blk, r, &log.log_k[logged.clone()], &log.log_v[logged]);
         }
         cache.seqs[seq].checks[block] = cache.recompute_block_check(blk, rows);
         let kv = self.cfg.kv_heads;

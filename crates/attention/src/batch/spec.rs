@@ -99,7 +99,7 @@ pub(crate) struct SpecSeq<T: Scalar> {
     token_checks: Vec<(f64, f64)>,
 }
 
-/// An open speculative window: one [`SpecSeq`] per windowed sequence,
+/// An open speculative window: one `SpecSeq` per windowed sequence,
 /// parked on the engine between [`DecodeBatch::speculate`] and
 /// [`DecodeBatch::resolve_speculation`].
 #[derive(Clone, Debug)]
@@ -390,8 +390,8 @@ impl<T: Scalar> DecodeBatch<T> {
                     ops::dot_then_scale_rows_multi_into(
                         &q_pack,
                         d,
-                        &k[u0 * blk.stride..],
-                        blk.stride,
+                        &k[u0 * d..],
+                        d,
                         n_rows,
                         scale,
                         &mut tile,
@@ -400,7 +400,6 @@ impl<T: Scalar> DecodeBatch<T> {
                         &mut states,
                         &tile,
                         v,
-                        blk.stride,
                         blk.first,
                         blk.rows,
                         u0,
@@ -419,8 +418,8 @@ impl<T: Scalar> DecodeBatch<T> {
                     ops::dot_then_scale_rows_multi_bf16_into(
                         &q_wide,
                         d,
-                        &k[u0 * blk.stride..],
-                        blk.stride,
+                        &k[u0 * d..],
+                        d,
                         n_rows,
                         scale,
                         &mut tile,
@@ -429,7 +428,6 @@ impl<T: Scalar> DecodeBatch<T> {
                         &mut states,
                         &tile,
                         v,
-                        blk.stride,
                         blk.first,
                         blk.rows,
                         u0,
@@ -578,7 +576,6 @@ fn fold_segment<V: Scalar>(
     states: &mut [(OnlineSoftmax, Vec<f64>)],
     tile: &[f64],
     v: &[V],
-    stride: usize,
     first: usize,
     rows: usize,
     u0: usize,
@@ -612,7 +609,7 @@ fn fold_segment<V: Scalar>(
         if lo_j >= hi_j {
             continue;
         }
-        let vrow = &v[r * stride..r * stride + d];
+        let vrow = &v[r * d..(r + 1) * d];
         let sum = sumrows[pos * kv + kv_head];
         for j in lo_j..hi_j {
             for m in 0..gs {
