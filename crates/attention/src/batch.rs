@@ -34,25 +34,24 @@
 //! The whole engine is **GQA-native**: head counts arrive as a
 //! [`HeadTopology`] (`query_heads` query heads sharing `kv_heads` cached
 //! K/V streams; plain multi-head attention is the degenerate
-//! `kv_heads == query_heads` point, and
-//! [`MultiHeadConfig`](crate::multihead::MultiHeadConfig)/
-//! [`GqaConfig`](crate::gqa::GqaConfig) convert implicitly). The cache
-//! stores **one K/V stream per kv head**,
-//! so grouped models stream `group_size×` fewer bytes per decode step —
+//! `kv_heads == query_heads` point). The cache stores **one K/V stream
+//! per kv head**, so grouped models stream `group_size×` fewer bytes per
+//! decode step —
 //! the dominant lever on KV-bandwidth-bound serving sweeps — and each
 //! scheduled `(sequence, kv_head)` pass walks its contiguous K/V panels
 //! once while feeding all `group_size` query-head states, including the
 //! per-group `sumrow(V)` checksum input the group shares for free
 //! (per-query-head verdicts stay exact).
 //!
-//! Per-(sequence, query-head) arithmetic is identical to
+//! Per-(sequence, query-head) arithmetic is identical to that query
+//! head's lane of
 //! [`DecodeSession::step_with_state`](crate::decode::DecodeSession::step_with_state)
-//! against that head's group K/V, to `flash_abft::CheckedDecodeSession::step`,
-//! and to a one-shot causal [`flash2`](crate::flash2) pass over the same
-//! history; cross-head combination runs in a fixed order on the calling
-//! thread — so `step_all` is bit-identical to serial per-sequence decode
-//! at every thread count, topology, block size, and
-//! admit/retire schedule (property-tested).
+//! and of `flash_abft::CheckedDecodeSession::step` over the same
+//! [`HeadTopology`], and to a one-shot causal [`flash2`](crate::flash2)
+//! pass over that head's group K/V; cross-head combination runs in a
+//! fixed order on the calling thread — so `step_all` is bit-identical to
+//! serial per-sequence decode at every thread count, topology, block
+//! size, and admit/retire schedule (property-tested).
 
 use crate::topology::HeadTopology;
 use fa_numerics::{KahanSum, OnlineSoftmax, BF16};
@@ -1491,11 +1490,10 @@ struct HeadState {
 ///
 /// ```
 /// use fa_attention::batch::DecodeBatch;
-/// use fa_attention::multihead::MultiHeadConfig;
-/// use fa_attention::AttentionConfig;
+/// use fa_attention::{AttentionConfig, HeadTopology};
 /// use fa_tensor::Matrix;
 ///
-/// let cfg = MultiHeadConfig::new(2, AttentionConfig::new(2));
+/// let cfg = HeadTopology::mha(2, AttentionConfig::new(2));
 /// let mut batch = DecodeBatch::<f64>::new(cfg, 16);
 /// let s0 = batch.add_sequence();
 /// let q = Matrix::from_rows(&[&[1.0, 0.0, 0.0, 1.0]]);
@@ -1798,16 +1796,12 @@ pub struct DecodeBatch<T: Scalar> {
 impl<T: Scalar> DecodeBatch<T> {
     /// Creates an empty engine with the given head topology and KV-cache
     /// block size (rows per block) and the default policy (native format,
-    /// retain-all) — the golden path. Accepts anything convertible
-    /// into a [`HeadTopology`] — a topology itself, a
-    /// [`MultiHeadConfig`](crate::multihead::MultiHeadConfig)
-    /// (the `kv_heads == query_heads` point), or a
-    /// [`GqaConfig`](crate::gqa::GqaConfig).
+    /// retain-all) — the golden path.
     ///
     /// # Panics
     ///
     /// Panics if `block_rows == 0`.
-    pub fn new(cfg: impl Into<HeadTopology>, block_rows: usize) -> Self {
+    pub fn new(cfg: HeadTopology, block_rows: usize) -> Self {
         Self::with_policy(
             cfg,
             block_rows,
@@ -1836,13 +1830,12 @@ impl<T: Scalar> DecodeBatch<T> {
     /// Panics if `block_rows == 0`, or a sliding-window eviction policy
     /// has `window_blocks == 0`.
     pub fn with_policy(
-        cfg: impl Into<HeadTopology>,
+        cfg: HeadTopology,
         block_rows: usize,
         layout: KvLayout,
         format: KvFormat,
         eviction: EvictionPolicy,
     ) -> Self {
-        let cfg = cfg.into();
         // Fold the eviction window into the head mask: evicted positions
         // must be exactly the ones `visible_range` already excludes.
         let mask_window = match eviction.window_tokens(block_rows) {
@@ -3460,8 +3453,9 @@ impl<T: Scalar> DecodeBatch<T> {
     /// (cloned at attach). Decode passes use
     /// `last_pos == seq_len − 1`; admitted prompt queries use their own
     /// position, which also applies the causal mask. Sliding-window
-    /// masking is relative to `last_pos`, matching
-    /// `DecodeSession::step_with_state`. `scores` is caller scratch,
+    /// masking is relative to `last_pos`, matching the query head's lane
+    /// of `DecodeSession::step_with_state` over the same topology.
+    /// `scores` is caller scratch,
     /// reused across blocks, members and queries. Returns the group's
     /// states in member (query-head) order.
     #[allow(clippy::too_many_arguments)]
@@ -3642,8 +3636,6 @@ pub mod spec;
 mod tests {
     use super::*;
     use crate::decode::DecodeSession;
-    use crate::gqa::GqaConfig;
-    use crate::multihead::MultiHeadConfig;
     use crate::AttentionConfig;
     use fa_tensor::random::ElementDist;
 
@@ -3728,19 +3720,23 @@ mod tests {
         // The load-bearing equivalence: DecodeBatch over S sequences and
         // H heads must equal one DecodeSession per (sequence, head), bit
         // for bit, for any cache block size.
-        let cfg = MultiHeadConfig::new(3, AttentionConfig::new(4));
+        let cfg = HeadTopology::mha(3, AttentionConfig::new(4));
         let (s, steps) = (4, 6);
         for block_rows in [1, 2, 16] {
             let mut batch = DecodeBatch::<f64>::new(cfg, block_rows);
             let ids: Vec<usize> = (0..s).map(|_| batch.add_sequence()).collect();
             let mut sessions: Vec<Vec<DecodeSession<f64>>> = (0..s)
-                .map(|_| (0..3).map(|_| DecodeSession::new(cfg.head)).collect())
+                .map(|_| {
+                    (0..3)
+                        .map(|_| DecodeSession::new(HeadTopology::mha(1, cfg.head)))
+                        .collect()
+                })
                 .collect();
             for t in 0..steps {
                 let seed = 9000 + t as u64;
-                let qs = rand(s, cfg.model_dim(), seed);
-                let ks = rand(s, cfg.model_dim(), seed + 100);
-                let vs = rand(s, cfg.model_dim(), seed + 200);
+                let qs = rand(s, cfg.q_dim(), seed);
+                let ks = rand(s, cfg.q_dim(), seed + 100);
+                let vs = rand(s, cfg.q_dim(), seed + 200);
                 let outs = batch.step_all(&ids, &qs, &ks, &vs);
                 for (i, out) in outs.iter().enumerate() {
                     for (h, session) in sessions[i].iter_mut().enumerate() {
@@ -3766,7 +3762,7 @@ mod tests {
 
     #[test]
     fn step_all_parallel_bit_identical_any_thread_count() {
-        let cfg = MultiHeadConfig::new(4, AttentionConfig::new(8));
+        let cfg = HeadTopology::mha(4, AttentionConfig::new(8));
         let run = |threads: usize| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -3778,13 +3774,13 @@ mod tests {
                     for &id in &ids {
                         batch.prefill(
                             id,
-                            &rand(40, cfg.model_dim(), 70 + id as u64),
-                            &rand(40, cfg.model_dim(), 80 + id as u64),
+                            &rand(40, cfg.q_dim(), 70 + id as u64),
+                            &rand(40, cfg.q_dim(), 80 + id as u64),
                         );
                     }
-                    let qs = rand(6, cfg.model_dim(), 1);
-                    let ks = rand(6, cfg.model_dim(), 2);
-                    let vs = rand(6, cfg.model_dim(), 3);
+                    let qs = rand(6, cfg.q_dim(), 1);
+                    let ks = rand(6, cfg.q_dim(), 2);
+                    let vs = rand(6, cfg.q_dim(), 3);
                     batch.step_all(&ids, &qs, &ks, &vs)
                 })
         };
@@ -3806,8 +3802,8 @@ mod tests {
         // A sequence admitted under the fused checksum must decode
         // exactly like one prefilled without checking: admission only
         // adds the prompt verification, never changes the cached state.
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(2, AttentionConfig::new(4));
+        let dim = cfg.q_dim();
         let (pq, pk, pv) = (rand(9, dim, 40), rand(9, dim, 41), rand(9, dim, 42));
 
         let mut admitted = DecodeBatch::<f64>::new(cfg, 4);
@@ -3834,8 +3830,8 @@ mod tests {
 
     #[test]
     fn admit_all_parallel_bit_identical_any_thread_count() {
-        let cfg = MultiHeadConfig::new(4, AttentionConfig::new(8));
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(4, AttentionConfig::new(8));
+        let dim = cfg.q_dim();
         let prompts: Vec<(Matrix<f64>, Matrix<f64>, Matrix<f64>)> = (0..5)
             .map(|i| {
                 let n = 20 + 5 * i;
@@ -3873,8 +3869,8 @@ mod tests {
     fn admit_all_validates_every_prompt_before_mutating() {
         // A malformed prompt anywhere in the batch must fail the whole
         // call *before* any prompt is admitted — no half-mutated engine.
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(2, AttentionConfig::new(4));
+        let dim = cfg.q_dim();
         let mut batch = DecodeBatch::<f64>::new(cfg, 4);
         let (gq, gk, gv) = (rand(3, dim, 1), rand(3, dim, 2), rand(3, dim, 3));
         let bad_q = rand(3, dim - 1, 4); // wrong width
@@ -3890,8 +3886,8 @@ mod tests {
         // Retiring a sequence mid-flight must not disturb the survivors'
         // outputs or checksum state, and the replacement must behave like
         // a fresh engine's sequence despite running on recycled blocks.
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(2, AttentionConfig::new(4));
+        let dim = cfg.q_dim();
         let mut engine = DecodeBatch::<f64>::new(cfg, 2);
         let mut lone = DecodeBatch::<f64>::new(cfg, 2);
 
@@ -3945,7 +3941,7 @@ mod tests {
 
     #[test]
     fn unchecked_matches_checked_outputs() {
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
+        let cfg = HeadTopology::mha(2, AttentionConfig::new(4));
         let mut checked = DecodeBatch::<f64>::new(cfg, 4);
         let mut unchecked = DecodeBatch::<f64>::new(cfg, 4);
         let ids = vec![checked.add_sequence()];
@@ -3976,10 +3972,10 @@ mod tests {
     #[test]
     fn sliding_window_matches_decode_session() {
         let head = AttentionConfig::new(2).with_sliding_window(3);
-        let cfg = MultiHeadConfig::new(1, head);
+        let cfg = HeadTopology::mha(1, head);
         let mut batch = DecodeBatch::<f64>::new(cfg, 2);
         let ids = vec![batch.add_sequence()];
-        let mut session = DecodeSession::new(head);
+        let mut session = DecodeSession::new(cfg);
         for t in 0..8 {
             let qs = rand(1, 2, 600 + t);
             let ks = rand(1, 2, 700 + t);
@@ -3994,7 +3990,7 @@ mod tests {
 
     #[test]
     fn corrupted_totals_are_visible() {
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
+        let cfg = HeadTopology::mha(2, AttentionConfig::new(4));
         let mut batch = DecodeBatch::<f64>::new(cfg, 4);
         let ids = vec![batch.add_sequence()];
         for t in 0..4 {
@@ -4068,8 +4064,8 @@ mod tests {
         // DecodeSession whose K/V inputs were pre-rounded through BF16:
         // the engine's mixed-operand scoring of BF16 blocks is pinned to
         // the f64 kernel over the widened values.
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(2, AttentionConfig::new(4));
+        let dim = cfg.q_dim();
         let mut engine = DecodeBatch::<f64>::with_policy(
             cfg,
             4,
@@ -4078,8 +4074,9 @@ mod tests {
             EvictionPolicy::RetainAll,
         );
         let ids = vec![engine.add_sequence()];
-        let mut sessions: Vec<DecodeSession<f64>> =
-            (0..2).map(|_| DecodeSession::new(cfg.head)).collect();
+        let mut sessions: Vec<DecodeSession<f64>> = (0..2)
+            .map(|_| DecodeSession::new(HeadTopology::mha(1, cfg.head)))
+            .collect();
         let round_row = |m: &Matrix<f64>| m.map(|x| round_bf16(x).to_f64());
         for t in 0..9 {
             let qs = rand(1, dim, 7000 + t);
@@ -4112,8 +4109,8 @@ mod tests {
         // new block is claimed. Replaying exactly those demotions into a
         // DecodeSession (demote_cached) keeps the engine bit-identical.
         let (block_rows, burst) = (2usize, 1usize);
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(2, AttentionConfig::new(4));
+        let dim = cfg.q_dim();
         let mut engine = DecodeBatch::<f64>::with_policy(
             cfg,
             block_rows,
@@ -4124,8 +4121,9 @@ mod tests {
             EvictionPolicy::RetainAll,
         );
         let ids = vec![engine.add_sequence()];
-        let mut sessions: Vec<DecodeSession<f64>> =
-            (0..2).map(|_| DecodeSession::new(cfg.head)).collect();
+        let mut sessions: Vec<DecodeSession<f64>> = (0..2)
+            .map(|_| DecodeSession::new(HeadTopology::mha(1, cfg.head)))
+            .collect();
         for t in 0..12usize {
             // The engine appends position t, claiming block t/block_rows
             // when t is a block boundary and then demoting the oldest
@@ -4174,10 +4172,9 @@ mod tests {
         // memory.
         let (block_rows, window_blocks) = (2usize, 2usize);
         let window = block_rows * window_blocks;
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
-        let masked_cfg =
-            MultiHeadConfig::new(2, AttentionConfig::new(4).with_sliding_window(window));
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(2, AttentionConfig::new(4));
+        let masked_cfg = HeadTopology::mha(2, AttentionConfig::new(4).with_sliding_window(window));
+        let dim = cfg.q_dim();
         let mut evicting = DecodeBatch::<f64>::with_policy(
             cfg,
             block_rows,
@@ -4217,8 +4214,8 @@ mod tests {
 
     #[test]
     fn chunked_admission_matches_synchronous_admit_bitwise() {
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(2, AttentionConfig::new(4));
+        let dim = cfg.q_dim();
         let (pq, pk, pv) = (rand(11, dim, 90), rand(11, dim, 91), rand(11, dim, 92));
 
         let mut sync = DecodeBatch::<f64>::new(cfg, 4);
@@ -4260,8 +4257,8 @@ mod tests {
 
     #[test]
     fn step_all_interleaves_pending_prefill_with_decode() {
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(2, AttentionConfig::new(4));
+        let dim = cfg.q_dim();
         let mut engine = DecodeBatch::<f64>::new(cfg, 4);
         engine.set_prefill_chunk(4);
         // One live decoding sequence...
@@ -4300,7 +4297,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "pending prompt chunks")]
     fn decoding_a_pending_sequence_panics() {
-        let cfg = MultiHeadConfig::new(1, AttentionConfig::new(2));
+        let cfg = HeadTopology::mha(1, AttentionConfig::new(2));
         let mut engine = DecodeBatch::<f64>::new(cfg, 4);
         engine.set_prefill_chunk(2);
         let seq = engine.enqueue(&rand(8, 2, 1), &rand(8, 2, 2), &rand(8, 2, 3));
@@ -4311,7 +4308,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate sequence id")]
     fn duplicate_ids_panic() {
-        let cfg = MultiHeadConfig::new(1, AttentionConfig::new(2));
+        let cfg = HeadTopology::mha(1, AttentionConfig::new(2));
         let mut batch = DecodeBatch::<f64>::new(cfg, 4);
         let s = batch.add_sequence();
         let m = rand(2, 2, 1);
@@ -4321,7 +4318,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown sequence id")]
     fn unknown_id_panics() {
-        let cfg = MultiHeadConfig::new(1, AttentionConfig::new(2));
+        let cfg = HeadTopology::mha(1, AttentionConfig::new(2));
         let mut batch = DecodeBatch::<f64>::new(cfg, 4);
         let m = rand(1, 2, 1);
         let _ = batch.step_all(&[0], &m, &m, &m);
@@ -4330,7 +4327,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "is retired")]
     fn stepping_retired_sequence_panics() {
-        let cfg = MultiHeadConfig::new(1, AttentionConfig::new(2));
+        let cfg = HeadTopology::mha(1, AttentionConfig::new(2));
         let mut batch = DecodeBatch::<f64>::new(cfg, 4);
         let s = batch.add_sequence();
         let m = rand(1, 2, 1);
@@ -4346,13 +4343,13 @@ mod tests {
         // must equal a plain DecodeSession fed its group's K/V slices,
         // bit for bit, at every block size.
         let d = 4;
-        let gqa = GqaConfig::new(4, 2, AttentionConfig::new(d));
-        let topo = gqa.topology();
+        let topo = HeadTopology::gqa(4, 2, AttentionConfig::new(d));
+        let single = HeadTopology::mha(1, topo.head);
         for block_rows in [1, 3, 16] {
-            let mut engine = DecodeBatch::<f64>::new(gqa, block_rows);
+            let mut engine = DecodeBatch::<f64>::new(topo, block_rows);
             let ids = vec![engine.add_sequence(), engine.add_sequence()];
             let mut sessions: Vec<Vec<DecodeSession<f64>>> = (0..2)
-                .map(|_| (0..4).map(|_| DecodeSession::new(gqa.head)).collect())
+                .map(|_| (0..4).map(|_| DecodeSession::new(single)).collect())
                 .collect();
             for t in 0..7u64 {
                 let qs = rand(2, topo.q_dim(), 4000 + t);
@@ -4387,13 +4384,12 @@ mod tests {
 
     #[test]
     fn gqa_decode_matches_grouped_golden_session_bitwise() {
-        // The dedicated GQA golden model (`GqaDecodeSession`) must agree
-        // with the batched engine token for token.
-        let gqa = GqaConfig::new(6, 3, AttentionConfig::new(4));
-        let topo = gqa.topology();
-        let mut engine = DecodeBatch::<f64>::new(gqa, 4);
+        // The grouped golden model (one `DecodeSession` over the whole
+        // topology) must agree with the batched engine token for token.
+        let topo = HeadTopology::gqa(6, 3, AttentionConfig::new(4));
+        let mut engine = DecodeBatch::<f64>::new(topo, 4);
         let ids = vec![engine.add_sequence()];
-        let mut golden = crate::decode::GqaDecodeSession::<f64>::new(topo);
+        let mut golden = DecodeSession::<f64>::new(topo);
         for t in 0..9u64 {
             let qs = rand(1, topo.q_dim(), 4300 + t);
             let ks = rand(1, topo.kv_dim(), 4400 + t);
@@ -4413,8 +4409,8 @@ mod tests {
         // ungrouped engine under identical traffic.
         let d = 8;
         let head = AttentionConfig::new(d);
-        let mha = MultiHeadConfig::new(4, head);
-        let gqa = GqaConfig::new(4, 1, head);
+        let mha = HeadTopology::mha(4, head);
+        let gqa = HeadTopology::gqa(4, 1, head);
         let mut wide = DecodeBatch::<f64>::new(mha, 4);
         let mut narrow = DecodeBatch::<f64>::new(gqa, 4);
         let w = vec![wide.add_sequence()];
@@ -4439,62 +4435,21 @@ mod tests {
     }
 
     #[test]
-    fn gqa_group1_topology_is_the_mha_engine_bitwise() {
-        // kv_heads == query_heads must be *exactly* the per-query-head
-        // engine — same code path, bit for bit, prompt and decode.
-        let head = AttentionConfig::new(4);
-        let dim = 3 * 4;
-        let (pq, pk, pv) = (rand(6, dim, 30), rand(6, dim, 31), rand(6, dim, 32));
-        let mut a = DecodeBatch::<f64>::with_policy(
-            GqaConfig::new(3, 3, head),
-            2,
-            KvLayout::HeadMajor,
-            KvFormat::Mixed { burst_blocks: 1 },
-            EvictionPolicy::SlidingWindow { window_blocks: 2 },
-        );
-        let mut b = DecodeBatch::<f64>::with_policy(
-            MultiHeadConfig::new(3, head),
-            2,
-            KvLayout::HeadMajor,
-            KvFormat::Mixed { burst_blocks: 1 },
-            EvictionPolicy::SlidingWindow { window_blocks: 2 },
-        );
-        let pa = a.admit(&pq, &pk, &pv);
-        let pb = b.admit(&pq, &pk, &pv);
-        assert_eq!(pa.output, pb.output);
-        assert_eq!(pa.predicted.to_bits(), pb.predicted.to_bits());
-        for t in 0..8u64 {
-            let qs = rand(1, dim, 5000 + t);
-            let ks = rand(1, dim, 5100 + t);
-            let vs = rand(1, dim, 5200 + t);
-            let oa = a.step_all(&[pa.seq], &qs, &ks, &vs);
-            let ob = b.step_all(&[pb.seq], &qs, &ks, &vs);
-            assert_eq!(oa[0].output, ob[0].output, "step {t}");
-            assert_eq!(oa[0].predicted.to_bits(), ob[0].predicted.to_bits());
-        }
-        assert_eq!(
-            a.global_residual(pa.seq).to_bits(),
-            b.global_residual(pb.seq).to_bits()
-        );
-    }
-
-    #[test]
     fn gqa_chunked_admission_matches_synchronous_admit() {
         // Chunked prefill schedules (prompt, kv_head) group passes; the
         // result must equal the synchronous admit bit for bit (F64, no
         // demotion), like the MHA path.
-        let gqa = GqaConfig::new(4, 2, AttentionConfig::new(4));
-        let topo = gqa.topology();
+        let topo = HeadTopology::gqa(4, 2, AttentionConfig::new(4));
         let (pq, pk, pv) = (
             rand(11, topo.q_dim(), 80),
             rand(11, topo.kv_dim(), 81),
             rand(11, topo.kv_dim(), 82),
         );
-        let mut sync = DecodeBatch::<f64>::new(gqa, 4);
+        let mut sync = DecodeBatch::<f64>::new(topo, 4);
         let wholesale = sync.admit(&pq, &pk, &pv);
         assert!(wholesale.residual().abs() < 1e-9);
 
-        let mut chunked = DecodeBatch::<f64>::new(gqa, 4);
+        let mut chunked = DecodeBatch::<f64>::new(topo, 4);
         chunked.set_prefill_chunk(3);
         let seq = chunked.enqueue(&pq, &pk, &pv);
         while chunked.is_pending(seq) {
@@ -4531,7 +4486,7 @@ mod tests {
 
     #[test]
     fn resubmit_reports_every_race_as_a_typed_error() {
-        let topo = GqaConfig::new(2, 2, AttentionConfig::new(4)).topology();
+        let topo = HeadTopology::gqa(2, 2, AttentionConfig::new(4));
         let kd = topo.kv_dim();
         let mut e = DecodeBatch::<f64>::with_policy(
             topo,
@@ -4598,7 +4553,7 @@ mod tests {
 
     #[test]
     fn voluntary_demotion_is_deterministic_idempotent_and_audit_clean() {
-        let topo = GqaConfig::new(4, 2, AttentionConfig::new(4)).topology();
+        let topo = HeadTopology::gqa(4, 2, AttentionConfig::new(4));
         let mk = || {
             DecodeBatch::<f64>::with_policy(
                 topo,
@@ -4645,7 +4600,7 @@ mod tests {
 
     #[test]
     fn live_kv_bytes_tracks_demotion_and_retirement() {
-        let topo = GqaConfig::new(2, 2, AttentionConfig::new(4)).topology();
+        let topo = HeadTopology::gqa(2, 2, AttentionConfig::new(4));
         let mut e = DecodeBatch::<f64>::with_policy(
             topo,
             4,
@@ -4686,7 +4641,7 @@ mod tests {
 
     #[test]
     fn shared_admission_is_bit_identical_to_unshared_replay() {
-        let topo = GqaConfig::new(4, 2, AttentionConfig::new(4)).topology();
+        let topo = HeadTopology::gqa(4, 2, AttentionConfig::new(4));
         let (qd, kd) = (topo.q_dim(), topo.kv_dim());
         let mk = || {
             let mut e = DecodeBatch::<f64>::with_policy(
@@ -4780,7 +4735,7 @@ mod tests {
 
     #[test]
     fn shared_scoring_toggle_is_bitwise_invariant() {
-        let topo = GqaConfig::new(4, 2, AttentionConfig::new(4)).topology();
+        let topo = HeadTopology::gqa(4, 2, AttentionConfig::new(4));
         let (qd, kd) = (topo.q_dim(), topo.kv_dim());
         let mk = || {
             let mut e = DecodeBatch::<f64>::with_policy(
@@ -4830,7 +4785,7 @@ mod tests {
 
     #[test]
     fn refcounts_and_cow_track_shared_block_ownership() {
-        let topo = GqaConfig::new(2, 2, AttentionConfig::new(4)).topology();
+        let topo = HeadTopology::gqa(2, 2, AttentionConfig::new(4));
         let (qd, kd) = (topo.q_dim(), topo.kv_dim());
         let mut e = DecodeBatch::<f64>::with_policy(
             topo,
@@ -4884,7 +4839,7 @@ mod tests {
 
     #[test]
     fn prefix_registry_finds_by_token_hash_and_releases() {
-        let topo = GqaConfig::new(2, 1, AttentionConfig::new(4)).topology();
+        let topo = HeadTopology::gqa(2, 1, AttentionConfig::new(4));
         let (qd, kd) = (topo.q_dim(), topo.kv_dim());
         let mut e = DecodeBatch::<f64>::new(topo, 4);
         let (q0, k0, v0) = (rand(4, qd, 11), rand(4, kd, 12), rand(4, kd, 13));
@@ -4910,7 +4865,7 @@ mod tests {
 
     #[test]
     fn shared_admission_composes_with_mixed_and_sliding_window() {
-        let topo = GqaConfig::new(4, 2, AttentionConfig::new(4)).topology();
+        let topo = HeadTopology::gqa(4, 2, AttentionConfig::new(4));
         let (qd, kd) = (topo.q_dim(), topo.kv_dim());
         for (format, eviction) in [
             (
@@ -4985,7 +4940,7 @@ mod tests {
 
     #[test]
     fn poisoned_shared_block_repairs_in_place_for_all_readers() {
-        let topo = GqaConfig::new(2, 2, AttentionConfig::new(4)).topology();
+        let topo = HeadTopology::gqa(2, 2, AttentionConfig::new(4));
         let (qd, kd) = (topo.q_dim(), topo.kv_dim());
         let mk = || {
             let mut e = DecodeBatch::<f64>::with_policy(

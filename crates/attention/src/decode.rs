@@ -9,177 +9,46 @@
 //! `flash_abft::decode`).
 
 use crate::topology::HeadTopology;
-use crate::AttentionConfig;
 use fa_numerics::OnlineSoftmax;
 use fa_tensor::{Matrix, Scalar};
 
-/// An incremental decoding session: a KV cache plus the kernel config.
+/// An incremental decoding session over a [`HeadTopology`]: **one** K/V
+/// cache per kv head, shared by all `group_size` query heads of its
+/// group — the golden model for [`DecodeBatch`](crate::batch::DecodeBatch).
+/// Plain multi-head attention is the `kv_heads == query_heads` point and
+/// a single head is [`HeadTopology::mha`]`(1, head)`.
+///
+/// Per query head the arithmetic is one online-softmax sweep over its
+/// group's cache through the same SIMD score/axpy kernels, in the same
+/// order, as the batched engine — so a grouped session is bit-identical
+/// to per-query-head single-head sessions fed pre-sliced group K/V,
+/// while storing each group's K/V once, like the engine it models.
 ///
 /// # Example
 ///
 /// ```
-/// use fa_attention::{decode::DecodeSession, AttentionConfig};
+/// use fa_attention::{decode::DecodeSession, AttentionConfig, HeadTopology};
 ///
-/// let mut session = DecodeSession::<f64>::new(AttentionConfig::new(2));
-/// let out1 = session.step(&[1.0, 0.0], &[0.5, 0.5], &[2.0, 4.0]);
-/// // First step: only one cache entry, output == v.
-/// assert_eq!(out1, vec![2.0, 4.0]);
+/// // 2 query heads sharing 1 kv head of dimension 2.
+/// let topo = HeadTopology::gqa(2, 1, AttentionConfig::new(2));
+/// let mut session = DecodeSession::<f64>::new(topo);
+/// let out = session.step(&[1.0, 0.0, 0.0, 1.0], &[0.5, 0.5], &[2.0, 4.0]);
+/// // First step: both query heads see the single cached row.
+/// assert_eq!(out, vec![2.0, 4.0, 2.0, 4.0]);
 /// assert_eq!(session.len(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct DecodeSession<T> {
-    cfg: AttentionConfig,
-    keys: Vec<Vec<T>>,
-    values: Vec<Vec<T>>,
-}
-
-impl<T: Scalar> DecodeSession<T> {
-    /// Creates an empty session.
-    pub fn new(cfg: AttentionConfig) -> Self {
-        DecodeSession {
-            cfg,
-            keys: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Pre-fills the cache from prompt K/V matrices (N×d).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn prefill(&mut self, k: &Matrix<T>, v: &Matrix<T>) {
-        assert_eq!(k.cols(), self.cfg.head_dim(), "K width mismatch");
-        assert_eq!(v.cols(), self.cfg.head_dim(), "V width mismatch");
-        assert_eq!(k.rows(), v.rows(), "K/V row count mismatch");
-        for i in 0..k.rows() {
-            self.keys.push(k.row(i).to_vec());
-            self.values.push(v.row(i).to_vec());
-        }
-    }
-
-    /// Rounds the cached K/V rows in `range` through BF16
-    /// (round-to-nearest-even via [`crate::batch::round_bf16`], widened
-    /// back into `T`) — the golden-model replay of `KvCache` block
-    /// demotion. A mixed-format [`crate::batch::DecodeBatch`] that
-    /// demoted exactly these positions decodes **bit-identically** to
-    /// this session afterwards: the widened BF16 values score through the
-    /// same blocked f64 summation order as the engine's mixed-operand dot
-    /// kernel (`fa_tensor::ops::dot_f64_bf16` is pinned to `dot_f64` on
-    /// pre-widened keys).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` exceeds the cached length.
-    pub fn demote_cached(&mut self, range: core::ops::Range<usize>) {
-        for i in range {
-            for x in self.keys[i].iter_mut() {
-                *x = T::from_f64(crate::batch::round_bf16(*x).to_f64());
-            }
-            for x in self.values[i].iter_mut() {
-                *x = T::from_f64(crate::batch::round_bf16(*x).to_f64());
-            }
-        }
-    }
-
-    /// Number of cached positions.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The kernel configuration.
-    pub fn config(&self) -> AttentionConfig {
-        self.cfg
-    }
-
-    /// Appends the new token's key/value to the cache and computes its
-    /// attention row against the whole cache (itself included — decode
-    /// is causal by construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length differs from the head dimension.
-    pub fn step(&mut self, q: &[T], k: &[T], v: &[T]) -> Vec<f64> {
-        self.step_with_state(q, k, v).0
-    }
-
-    /// Like [`step`](Self::step), also returning the online-softmax
-    /// terminal state `(ℓ_N, m_N)` — what the checked wrapper needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn step_with_state(&mut self, q: &[T], k: &[T], v: &[T]) -> (Vec<f64>, f64, f64) {
-        let d = self.cfg.head_dim();
-        assert_eq!(q.len(), d, "query length mismatch");
-        assert_eq!(k.len(), d, "key length mismatch");
-        assert_eq!(v.len(), d, "value length mismatch");
-        self.keys.push(k.to_vec());
-        self.values.push(v.to_vec());
-
-        let newest = self.keys.len() - 1;
-        let mut os = OnlineSoftmax::new();
-        let mut acc = vec![0.0f64; d];
-        // Sliding-window masking relative to the newest position: the
-        // visible cache positions are exactly the causal window interval.
-        let lo = self
-            .cfg
-            .with_causal(true)
-            .visible_range(newest, self.keys.len())
-            .start;
-        for i in lo..self.keys.len() {
-            let s = fa_tensor::ops::dot_then_scale(q, &self.keys[i], self.cfg.scale());
-            let step = os.push(s);
-            fa_tensor::ops::axpy_f64(&mut acc, &self.values[i], step.scale_old, step.weight_new);
-        }
-        let l = os.sum_exp();
-        for a in acc.iter_mut() {
-            *a /= l;
-        }
-        (acc, l, os.max())
-    }
-}
-
-/// A grouped-query decoding session: **one** K/V cache per kv head,
-/// shared by all `group_size` query heads of its group — the GQA-aware
-/// golden model for `fa_attention::batch::DecodeBatch` with a grouped
-/// [`HeadTopology`].
-///
-/// Per query head the arithmetic is exactly [`DecodeSession::step`]
-/// against that head's group K/V (same SIMD score/axpy kernels, same
-/// order), so this session is bit-identical to per-query-head sessions
-/// fed pre-sliced group K/V — while storing each group's K/V once, like
-/// the engine it models.
-///
-/// # Example
-///
-/// ```
-/// use fa_attention::{decode::GqaDecodeSession, AttentionConfig, HeadTopology};
-///
-/// // 2 query heads sharing 1 kv head of dimension 2.
-/// let topo = HeadTopology::gqa(2, 1, AttentionConfig::new(2));
-/// let mut session = GqaDecodeSession::<f64>::new(topo);
-/// let out = session.step(&[1.0, 0.0, 0.0, 1.0], &[0.5, 0.5], &[2.0, 4.0]);
-/// // First step: both query heads see the single cached row.
-/// assert_eq!(out, vec![2.0, 4.0, 2.0, 4.0]);
-/// ```
-#[derive(Clone, Debug)]
-pub struct GqaDecodeSession<T> {
     topo: HeadTopology,
     /// `keys[g][i]` is kv head `g`'s cached key row at position `i`.
     keys: Vec<Vec<Vec<T>>>,
     values: Vec<Vec<Vec<T>>>,
 }
 
-impl<T: Scalar> GqaDecodeSession<T> {
+impl<T: Scalar> DecodeSession<T> {
     /// Creates an empty session.
     pub fn new(topo: HeadTopology) -> Self {
-        GqaDecodeSession {
+        DecodeSession {
             topo,
             keys: vec![Vec::new(); topo.kv_heads],
             values: vec![Vec::new(); topo.kv_heads],
@@ -212,18 +81,29 @@ impl<T: Scalar> GqaDecodeSession<T> {
         assert_eq!(v.cols(), self.topo.kv_dim(), "V width mismatch");
         assert_eq!(k.rows(), v.rows(), "K/V row count mismatch");
         for i in 0..k.rows() {
-            for g in 0..self.topo.kv_heads {
-                let cols = self.topo.kv_head_cols(g);
-                self.keys[g].push(k.row(i)[cols.clone()].to_vec());
-                self.values[g].push(v.row(i)[cols].to_vec());
-            }
+            self.push_row(k.row(i), v.row(i));
+        }
+    }
+
+    /// Appends one packed `kv_dim`-wide K/V row, one sub-row per kv head.
+    fn push_row(&mut self, k: &[T], v: &[T]) {
+        for g in 0..self.topo.kv_heads {
+            let cols = self.topo.kv_head_cols(g);
+            self.keys[g].push(k[cols.clone()].to_vec());
+            self.values[g].push(v[cols].to_vec());
         }
     }
 
     /// Rounds every kv head's cached K/V rows in `range` through BF16
-    /// (RNE, widened back into `T`) — the golden-model replay of
-    /// `KvCache` block demotion, shared across the group exactly like
-    /// the engine's per-kv-head blocks.
+    /// (round-to-nearest-even via [`crate::batch::round_bf16`], widened
+    /// back into `T`) — the golden-model replay of `KvCache` block
+    /// demotion, shared across the group exactly like the engine's
+    /// per-kv-head blocks. A mixed-format [`crate::batch::DecodeBatch`]
+    /// that demoted exactly these positions decodes **bit-identically**
+    /// to this session afterwards: the widened BF16 values score through
+    /// the same blocked f64 summation order as the engine's mixed-operand
+    /// dot kernel (`fa_tensor::ops::dot_f64_bf16` is pinned to `dot_f64`
+    /// on pre-widened keys).
     ///
     /// # Panics
     ///
@@ -231,34 +111,44 @@ impl<T: Scalar> GqaDecodeSession<T> {
     pub fn demote_cached(&mut self, range: core::ops::Range<usize>) {
         for i in range {
             for g in 0..self.topo.kv_heads {
-                for x in self.keys[g][i].iter_mut() {
-                    *x = T::from_f64(crate::batch::round_bf16(*x).to_f64());
-                }
-                for x in self.values[g][i].iter_mut() {
+                for x in self.keys[g][i]
+                    .iter_mut()
+                    .chain(self.values[g][i].iter_mut())
+                {
                     *x = T::from_f64(crate::batch::round_bf16(*x).to_f64());
                 }
             }
         }
     }
 
-    /// Appends the new token's K/V (packed `kv_dim` rows, one sub-row
-    /// per kv head) and computes every query head's attention row against
-    /// its group's whole cache, returning the packed `q_dim`-wide output.
+    /// Appends the new token's K/V (packed `kv_dim` rows) and computes
+    /// every query head's attention row against its group's whole cache
+    /// (the new token included — decode is causal by construction),
+    /// returning the packed `q_dim`-wide output.
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
     pub fn step(&mut self, q: &[T], k: &[T], v: &[T]) -> Vec<f64> {
+        self.step_with_state(q, k, v).0
+    }
+
+    /// Like [`step`](Self::step), also returning each query head's
+    /// online-softmax terminal state `(ℓ_N, m_N)`, in head order — what
+    /// the checked wrapper needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    pub fn step_with_state(&mut self, q: &[T], k: &[T], v: &[T]) -> (Vec<f64>, Vec<(f64, f64)>) {
         let d = self.topo.head.head_dim();
         assert_eq!(q.len(), self.topo.q_dim(), "query length mismatch");
         assert_eq!(k.len(), self.topo.kv_dim(), "key length mismatch");
         assert_eq!(v.len(), self.topo.kv_dim(), "value length mismatch");
-        for g in 0..self.topo.kv_heads {
-            let cols = self.topo.kv_head_cols(g);
-            self.keys[g].push(k[cols.clone()].to_vec());
-            self.values[g].push(v[cols].to_vec());
-        }
+        self.push_row(k, v);
 
+        // Sliding-window masking relative to the newest position: the
+        // visible cache positions are exactly the causal window interval.
         let newest = self.len() - 1;
         let lo = self
             .topo
@@ -267,6 +157,7 @@ impl<T: Scalar> GqaDecodeSession<T> {
             .visible_range(newest, self.len())
             .start;
         let mut out = vec![0.0f64; self.topo.q_dim()];
+        let mut states = Vec::with_capacity(self.topo.query_heads);
         for h in 0..self.topo.query_heads {
             let g = self.topo.group_of(h);
             let q_sub = &q[self.topo.q_head_cols(h)];
@@ -284,18 +175,19 @@ impl<T: Scalar> GqaDecodeSession<T> {
                 );
             }
             let l = os.sum_exp();
-            for (c, a) in acc.iter().enumerate() {
-                out[h * d + c] = a / l;
+            for (o, a) in out[self.topo.q_head_cols(h)].iter_mut().zip(&acc) {
+                *o = a / l;
             }
+            states.push((l, os.max()));
         }
-        out
+        (out, states)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{flash2, naive};
+    use crate::{flash2, naive, AttentionConfig};
     use fa_tensor::random::ElementDist;
 
     fn rand_qkv(n: usize, d: usize, seed: u64) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
@@ -312,10 +204,9 @@ mod tests {
         // token: scoring gamma positions in one batched pass over the
         // paged cache changes nothing about any token's bits.
         use crate::batch::DecodeBatch;
-        use crate::topology::HeadTopology;
         let topo = HeadTopology::gqa(4, 2, AttentionConfig::new(4));
         let mut engine = DecodeBatch::<f64>::new(topo, 4);
-        let mut session = GqaDecodeSession::<f64>::new(topo);
+        let mut session = DecodeSession::<f64>::new(topo);
         let seq = engine.add_sequence();
         let prefill = 7;
         let pk = Matrix::random_seeded(prefill, topo.kv_dim(), ElementDist::default(), 50);
@@ -346,7 +237,7 @@ mod tests {
         // Feeding tokens one at a time must equal one causal batch pass.
         let (q, k, v) = rand_qkv(10, 4, 800);
         let cfg = AttentionConfig::new(4);
-        let mut session = DecodeSession::new(cfg);
+        let mut session = DecodeSession::new(HeadTopology::mha(1, cfg));
         let mut rows = Vec::new();
         for i in 0..10 {
             rows.push(session.step(q.row(i), k.row(i), v.row(i)));
@@ -367,7 +258,7 @@ mod tests {
     fn prefill_then_decode_matches_full_attention() {
         let (q, k, v) = rand_qkv(8, 4, 801);
         let cfg = AttentionConfig::new(4);
-        let mut session = DecodeSession::new(cfg);
+        let mut session = DecodeSession::new(HeadTopology::mha(1, cfg));
         // Prefill with the first 7 positions, then decode token 7.
         let k_prompt = Matrix::from_fn(7, 4, |r, c| k[(r, c)]);
         let v_prompt = Matrix::from_fn(7, 4, |r, c| v[(r, c)]);
@@ -384,7 +275,7 @@ mod tests {
     #[test]
     fn sliding_window_limits_the_cache_view() {
         let cfg = AttentionConfig::new(2).with_sliding_window(2);
-        let mut session = DecodeSession::new(cfg);
+        let mut session = DecodeSession::new(HeadTopology::mha(1, cfg));
         // Three steps with distinct values; window 2 means the final step
         // sees only positions 1 and 2.
         session.step(&[1.0, 0.0], &[1.0, 0.0], &[10.0, 0.0]);
@@ -397,8 +288,9 @@ mod tests {
     #[test]
     fn state_exposes_softmax_terminals() {
         let cfg = AttentionConfig::new(2);
-        let mut session = DecodeSession::new(cfg);
-        let (_, l, m) = session.step_with_state(&[1.0, 1.0], &[0.5, 0.5], &[1.0, 2.0]);
+        let mut session = DecodeSession::new(HeadTopology::mha(1, cfg));
+        let (_, states) = session.step_with_state(&[1.0, 1.0], &[0.5, 0.5], &[1.0, 2.0]);
+        let (l, m) = states[0];
         assert_eq!(l, 1.0, "single key: one unit weight");
         assert!((m - (0.5 + 0.5) * cfg.scale()).abs() < 1e-12);
     }
@@ -406,7 +298,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "query length mismatch")]
     fn wrong_query_length_panics() {
-        let mut session = DecodeSession::<f64>::new(AttentionConfig::new(4));
+        let mut session = DecodeSession::<f64>::new(HeadTopology::mha(1, AttentionConfig::new(4)));
         let _ = session.step(&[1.0], &[1.0, 0.0, 0.0, 0.0], &[1.0, 0.0, 0.0, 0.0]);
     }
 
@@ -420,9 +312,10 @@ mod tests {
         for (qh, kv) in [(4usize, 2usize), (4, 1), (3, 3)] {
             let head = AttentionConfig::new(d).with_sliding_window(5);
             let topo = HeadTopology::gqa(qh, kv, head);
-            let mut grouped = GqaDecodeSession::<f64>::new(topo);
-            let mut singles: Vec<DecodeSession<f64>> =
-                (0..qh).map(|_| DecodeSession::new(head)).collect();
+            let mut grouped = DecodeSession::<f64>::new(topo);
+            let mut singles: Vec<DecodeSession<f64>> = (0..qh)
+                .map(|_| DecodeSession::new(HeadTopology::mha(1, head)))
+                .collect();
             for t in 0..9u64 {
                 let q = Matrix::<f64>::random_seeded(1, topo.q_dim(), ElementDist::default(), t);
                 let k =
@@ -456,12 +349,12 @@ mod tests {
         let topo = HeadTopology::gqa(2, 1, AttentionConfig::new(d));
         let k = Matrix::<f64>::random_seeded(6, topo.kv_dim(), ElementDist::default(), 50);
         let v = Matrix::<f64>::random_seeded(6, topo.kv_dim(), ElementDist::default(), 51);
-        let mut grouped = GqaDecodeSession::<f64>::new(topo);
+        let mut grouped = DecodeSession::<f64>::new(topo);
         grouped.prefill(&k, &v);
         grouped.demote_cached(0..3);
         let mut singles: Vec<DecodeSession<f64>> = (0..2)
             .map(|_| {
-                let mut s = DecodeSession::new(topo.head);
+                let mut s = DecodeSession::new(HeadTopology::mha(1, topo.head));
                 s.prefill(&k, &v);
                 s.demote_cached(0..3);
                 s

@@ -10,7 +10,8 @@
 //! inside its real architectural context (e.g. BERT-base stacks twelve
 //! of these).
 
-use crate::multihead::{self, MultiHeadConfig};
+use crate::gqa;
+use crate::topology::HeadTopology;
 use fa_tensor::{random::ElementDist, Matrix, Scalar};
 
 /// Layer normalization over the last dimension: per row,
@@ -132,10 +133,11 @@ impl Linear {
 
 /// One encoder layer (Fig. 1): QKV projection → multi-head attention →
 /// residual + LayerNorm → FFN (Linear→GELU→Linear) → residual +
-/// LayerNorm.
+/// LayerNorm. The K/V projections are `kv_dim` wide, so a grouped
+/// topology projects each token to its `kv_heads` shared K/V heads.
 #[derive(Clone, Debug)]
 pub struct EncoderLayer {
-    mh: MultiHeadConfig,
+    topo: HeadTopology,
     wq: Linear,
     wk: Linear,
     wv: Linear,
@@ -147,15 +149,15 @@ pub struct EncoderLayer {
 }
 
 impl EncoderLayer {
-    /// Builds a layer for model dimension `mh.model_dim()` with an FFN
+    /// Builds a layer for model dimension `topo.q_dim()` with an FFN
     /// hidden width of 4× (the BERT ratio), deterministically seeded.
-    pub fn new(mh: MultiHeadConfig, seed: u64) -> Self {
-        let dim = mh.model_dim();
+    pub fn new(topo: HeadTopology, seed: u64) -> Self {
+        let dim = topo.q_dim();
         EncoderLayer {
-            mh,
+            topo,
             wq: Linear::new(dim, dim, seed),
-            wk: Linear::new(dim, dim, seed + 1),
-            wv: Linear::new(dim, dim, seed + 2),
+            wk: Linear::new(dim, topo.kv_dim(), seed + 1),
+            wv: Linear::new(dim, topo.kv_dim(), seed + 2),
             wo: Linear::new(dim, dim, seed + 3),
             norm1: LayerNorm::new(dim),
             ffn1: Linear::new(dim, 4 * dim, seed + 4),
@@ -164,9 +166,9 @@ impl EncoderLayer {
         }
     }
 
-    /// The multi-head configuration.
-    pub fn config(&self) -> &MultiHeadConfig {
-        &self.mh
+    /// The head topology.
+    pub fn config(&self) -> &HeadTopology {
+        &self.topo
     }
 
     /// Forward pass over embeddings (N × model_dim). Also returns the
@@ -179,13 +181,13 @@ impl EncoderLayer {
     pub fn forward(&self, embeddings: &Matrix<f64>) -> EncoderOutput {
         assert_eq!(
             embeddings.cols(),
-            self.mh.model_dim(),
+            self.topo.q_dim(),
             "embedding width mismatch"
         );
         let q = self.wq.forward(embeddings);
         let k = self.wk.forward(embeddings);
         let v = self.wv.forward(embeddings);
-        let attn = multihead::attention(&q, &k, &v, &self.mh);
+        let attn = gqa::attention(&q, &k, &v, &self.topo);
         let projected = self.wo.forward(&attn);
 
         // Residual + norm 1.
@@ -293,8 +295,8 @@ mod tests {
 
     #[test]
     fn encoder_layer_forward_is_sane() {
-        let mh = MultiHeadConfig::new(2, AttentionConfig::new(4));
-        let layer = EncoderLayer::new(mh, 42);
+        let topo = HeadTopology::mha(2, AttentionConfig::new(4));
+        let layer = EncoderLayer::new(topo, 42);
         let emb = Matrix::<f64>::random_seeded(6, 8, ElementDist::Gaussian { std_dev: 1.0 }, 7);
         let out = layer.forward(&emb);
         assert_eq!((out.output.rows(), out.output.cols()), (6, 8));
@@ -311,12 +313,12 @@ mod tests {
 
     #[test]
     fn encoder_is_deterministic_per_seed() {
-        let mh = MultiHeadConfig::new(2, AttentionConfig::new(4));
+        let topo = HeadTopology::mha(2, AttentionConfig::new(4));
         let emb = Matrix::<f64>::random_seeded(4, 8, ElementDist::default(), 9);
-        let a = EncoderLayer::new(mh, 1).forward(&emb);
-        let b = EncoderLayer::new(mh, 1).forward(&emb);
+        let a = EncoderLayer::new(topo, 1).forward(&emb);
+        let b = EncoderLayer::new(topo, 1).forward(&emb);
         assert_eq!(a.output, b.output);
-        let c = EncoderLayer::new(mh, 2).forward(&emb);
+        let c = EncoderLayer::new(topo, 2).forward(&emb);
         assert_ne!(a.output, c.output);
     }
 
@@ -324,17 +326,18 @@ mod tests {
     fn attention_inside_encoder_is_checkable() {
         // The deployment point: verify the attention block of a real
         // encoder layer per head with Flash-ABFT-style row checks.
-        let mh = MultiHeadConfig::new(2, AttentionConfig::new(4));
-        let layer = EncoderLayer::new(mh, 10);
+        let topo = HeadTopology::mha(2, AttentionConfig::new(4));
+        let layer = EncoderLayer::new(topo, 10);
         let emb = Matrix::<f64>::random_seeded(5, 8, ElementDist::default(), 11);
         let out = layer.forward(&emb);
         for h in 0..2 {
-            let qh = mh.slice_head(&out.q, h);
-            let kh = mh.slice_head(&out.k, h);
-            let vh = mh.slice_head(&out.v, h);
-            let ah = mh.slice_head(&out.attention, h);
+            let cols = topo.q_head_cols(h);
+            let qh = out.q.column_block(cols.clone());
+            let kh = out.k.column_block(cols.clone());
+            let vh = out.v.column_block(cols.clone());
+            let ah = out.attention.column_block(cols);
             // Row-sum identity: Σ_j attn_ij equals the Eq. 8 check.
-            let reference = crate::naive::attention(&qh, &kh, &vh, &mh.head);
+            let reference = crate::naive::attention(&qh, &kh, &vh, &topo.head);
             assert!(ah.max_abs_diff(&reference) < 1e-12, "head {h}");
         }
     }

@@ -1,85 +1,24 @@
-//! Grouped-query attention (GQA).
+//! Packed multi-head attention over a [`HeadTopology`].
 //!
 //! Llama-3.1, Phi-3 and Gemma2 — three of the four models the paper
-//! evaluates — use GQA: several query heads share one key/value head,
-//! shrinking the KV cache. Per *query head* the computation is ordinary
-//! attention against its group's K/V, so the Flash-ABFT checksum carries
-//! over unchanged: one fused check per query head, with `sumrow(V)`
-//! shared across the heads of a group (an additional hardware saving the
-//! paper's architecture would inherit for free).
+//! evaluates — use grouped-query attention (GQA): several query heads
+//! share one key/value head, shrinking the KV cache. Per *query head* the
+//! computation is ordinary attention against its group's K/V, so the
+//! Flash-ABFT checksum carries over unchanged: one fused check per query
+//! head, with `sumrow(V)` shared across the heads of a group (an
+//! additional hardware saving the paper's architecture would inherit for
+//! free). Plain multi-head attention is the `kv_heads == query_heads`
+//! point ([`HeadTopology::mha`]) of the same kernel — e.g. BERT's
+//! 12 heads × d=64.
 
-use crate::multihead::MultiHeadConfig;
+use crate::topology::HeadTopology;
 use crate::{flash2, AttentionConfig};
 use fa_tensor::{Matrix, Scalar};
 use rayon::prelude::*;
 
-/// Grouped-query attention configuration: `query_heads` query heads share
-/// `kv_heads` key/value heads (`query_heads % kv_heads == 0`).
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct GqaConfig {
-    /// Number of query heads.
-    pub query_heads: usize,
-    /// Number of key/value heads (each serves a group of query heads).
-    pub kv_heads: usize,
-    /// Per-head kernel configuration.
-    pub head: AttentionConfig,
-}
-
-impl GqaConfig {
-    /// Creates a GQA configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either head count is zero or `query_heads` is not a
-    /// multiple of `kv_heads`.
-    pub fn new(query_heads: usize, kv_heads: usize, head: AttentionConfig) -> Self {
-        assert!(
-            query_heads > 0 && kv_heads > 0,
-            "head counts must be positive"
-        );
-        assert_eq!(
-            query_heads % kv_heads,
-            0,
-            "query_heads {query_heads} must be a multiple of kv_heads {kv_heads}"
-        );
-        GqaConfig {
-            query_heads,
-            kv_heads,
-            head,
-        }
-    }
-
-    /// Query heads per KV group.
-    pub fn group_size(&self) -> usize {
-        self.query_heads / self.kv_heads
-    }
-
-    /// Width of the packed Q matrix: `query_heads · head_dim`.
-    pub fn q_dim(&self) -> usize {
-        self.query_heads * self.head.head_dim()
-    }
-
-    /// Width of the packed K/V matrices: `kv_heads · head_dim`.
-    pub fn kv_dim(&self) -> usize {
-        self.kv_heads * self.head.head_dim()
-    }
-
-    /// The KV group serving query head `h`.
-    pub fn group_of(&self, query_head: usize) -> usize {
-        query_head / self.group_size()
-    }
-
-    /// This configuration as a [`HeadTopology`](crate::HeadTopology) —
-    /// the head-count type the serving stack
-    /// ([`DecodeBatch`](crate::batch::DecodeBatch)) speaks natively; the
-    /// `From` impl makes the conversion implicit at those call sites.
-    pub fn topology(&self) -> crate::HeadTopology {
-        crate::HeadTopology::gqa(self.query_heads, self.kv_heads, self.head)
-    }
-}
-
-/// Computes grouped-query attention on packed matrices: `q` is
-/// `N × (query_heads·d)`, `k`/`v` are `N × (kv_heads·d)`. Returns the
+/// Computes attention on packed matrices: `q` is
+/// `N × (query_heads·d)`, `k`/`v` are `N × (kv_heads·d)`. Each query
+/// head runs FlashAttention-2 against its group's K/V; returns the
 /// packed `N × (query_heads·d)` output.
 ///
 /// # Panics
@@ -88,69 +27,62 @@ impl GqaConfig {
 ///
 /// ```
 /// use fa_tensor::{Matrix, random::ElementDist};
-/// use fa_attention::{gqa::{self, GqaConfig}, AttentionConfig};
-/// let cfg = GqaConfig::new(4, 2, AttentionConfig::new(8));
+/// use fa_attention::{gqa, AttentionConfig, HeadTopology};
+/// let topo = HeadTopology::gqa(4, 2, AttentionConfig::new(8));
 /// let q = Matrix::<f64>::random_seeded(6, 32, ElementDist::default(), 1);
 /// let k = Matrix::<f64>::random_seeded(6, 16, ElementDist::default(), 2);
 /// let v = Matrix::<f64>::random_seeded(6, 16, ElementDist::default(), 3);
-/// let out = gqa::attention(&q, &k, &v, &cfg);
+/// let out = gqa::attention(&q, &k, &v, &topo);
 /// assert_eq!((out.rows(), out.cols()), (6, 32));
 /// ```
 pub fn attention<T: Scalar>(
     q: &Matrix<T>,
     k: &Matrix<T>,
     v: &Matrix<T>,
-    cfg: &GqaConfig,
+    topo: &HeadTopology,
 ) -> Matrix<T> {
-    assert_eq!(q.cols(), cfg.q_dim(), "packed Q width mismatch");
-    assert_eq!(k.cols(), cfg.kv_dim(), "packed K width mismatch");
-    assert_eq!(v.cols(), cfg.kv_dim(), "packed V width mismatch");
-    let d = cfg.head.head_dim();
-    let q_slicer = MultiHeadConfig::new(cfg.query_heads, cfg.head);
-    let kv_slicer = MultiHeadConfig::new(cfg.kv_heads, cfg.head);
+    assert_eq!(q.cols(), topo.q_dim(), "packed Q width mismatch");
+    assert_eq!(k.cols(), topo.kv_dim(), "packed K width mismatch");
+    assert_eq!(v.cols(), topo.kv_dim(), "packed V width mismatch");
+    let d = topo.head.head_dim();
 
     // Slice each kv group's K/V **once**; every query head of the group
     // borrows the same slices — the same shared-per-group machinery the
     // serving prefill path uses (one kv stream feeding `group_size` query
     // states), rather than each member re-materializing its group's K/V.
-    let groups: Vec<(Matrix<T>, Matrix<T>)> = (0..cfg.kv_heads)
-        .map(|g| (kv_slicer.slice_head(k, g), kv_slicer.slice_head(v, g)))
+    let groups: Vec<(Matrix<T>, Matrix<T>)> = (0..topo.kv_heads)
+        .map(|g| {
+            let cols = topo.kv_head_cols(g);
+            (k.column_block(cols.clone()), v.column_block(cols))
+        })
         .collect();
 
     // Heads are independent attentions: when the head count can fill the
     // pool, fan them out in a single fork, each running the *serial* row
     // kernel (bit-identical by the property tests) so nested parallelism
     // never depends on the pool implementation. With fewer heads than
-    // workers, keep the row-parallel kernel per head instead. Tiny
-    // simulator-sized calls stay on this thread entirely.
-    let fork_heads = cfg.query_heads >= rayon::current_num_threads()
-        && crate::par::worth_parallelizing(cfg.query_heads * q.rows(), k.rows(), d);
+    // workers, keep the row-parallel kernel per head instead — otherwise
+    // a single-head layer would serialize entirely. Tiny simulator-sized
+    // calls stay on this thread entirely.
+    type Kernel<T> = fn(&Matrix<T>, &Matrix<T>, &Matrix<T>, &AttentionConfig) -> Matrix<T>;
+    let head = |h: usize, kernel: Kernel<T>| {
+        let (kg, vg) = &groups[topo.group_of(h)];
+        kernel(&q.column_block(topo.q_head_cols(h)), kg, vg, &topo.head)
+    };
+    let fork_heads = topo.query_heads >= rayon::current_num_threads()
+        && crate::par::worth_parallelizing(topo.query_heads * q.rows(), k.rows(), d);
     let heads: Vec<Matrix<T>> = if fork_heads {
-        (0..cfg.query_heads)
+        (0..topo.query_heads)
             .into_par_iter()
-            .map(|h| {
-                let (kg, vg) = &groups[cfg.group_of(h)];
-                flash2::attention_serial(&q_slicer.slice_head(q, h), kg, vg, &cfg.head)
-            })
+            .map(|h| head(h, flash2::attention_serial))
             .collect()
     } else {
-        (0..cfg.query_heads)
-            .map(|h| {
-                let (kg, vg) = &groups[cfg.group_of(h)];
-                flash2::attention(&q_slicer.slice_head(q, h), kg, vg, &cfg.head)
-            })
+        (0..topo.query_heads)
+            .map(|h| head(h, flash2::attention))
             .collect()
     };
 
-    let mut out = Matrix::zeros(q.rows(), cfg.q_dim());
-    for (h, oh) in heads.iter().enumerate() {
-        for r in 0..out.rows() {
-            for c in 0..d {
-                out[(r, h * d + c)] = oh[(r, c)];
-            }
-        }
-    }
-    out
+    Matrix::from_fn(q.rows(), topo.q_dim(), |r, c| heads[c / d][(r, c % d)])
 }
 
 #[cfg(test)]
@@ -160,35 +92,94 @@ mod tests {
     use fa_tensor::random::ElementDist;
 
     #[test]
-    fn config_arithmetic() {
-        let cfg = GqaConfig::new(8, 2, AttentionConfig::new(16));
-        assert_eq!(cfg.group_size(), 4);
-        assert_eq!(cfg.q_dim(), 128);
-        assert_eq!(cfg.kv_dim(), 32);
-        assert_eq!(cfg.group_of(0), 0);
-        assert_eq!(cfg.group_of(3), 0);
-        assert_eq!(cfg.group_of(4), 1);
-        assert_eq!(cfg.group_of(7), 1);
+    fn heads_are_independent() {
+        // Computing each head separately with the naive kernel must match
+        // the packed multi-head result.
+        let topo = HeadTopology::mha(3, AttentionConfig::new(4));
+        let n = 8;
+        let q = Matrix::<f64>::random_seeded(n, topo.q_dim(), ElementDist::default(), 1);
+        let k = Matrix::<f64>::random_seeded(n, topo.kv_dim(), ElementDist::default(), 2);
+        let v = Matrix::<f64>::random_seeded(n, topo.kv_dim(), ElementDist::default(), 3);
+        let packed = attention(&q, &k, &v, &topo);
+        for h in 0..3 {
+            let cols = topo.q_head_cols(h);
+            let expected = naive::attention(
+                &q.column_block(cols.clone()),
+                &k.column_block(cols.clone()),
+                &v.column_block(cols.clone()),
+                &topo.head,
+            );
+            let got = packed.column_block(cols);
+            assert!(got.max_abs_diff(&expected) < 1e-12, "head {h}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "multiple of")]
-    fn non_divisible_heads_panic() {
-        let _ = GqaConfig::new(5, 2, AttentionConfig::new(4));
-    }
-
-    #[test]
-    fn gqa_equals_mha_when_groups_are_trivial() {
-        // kv_heads == query_heads degenerates to standard multi-head.
-        let head = AttentionConfig::new(4);
-        let gqa_cfg = GqaConfig::new(3, 3, head);
-        let mha_cfg = MultiHeadConfig::new(3, head);
-        let q = Matrix::<f64>::random_seeded(5, 12, ElementDist::default(), 1);
-        let k = Matrix::<f64>::random_seeded(5, 12, ElementDist::default(), 2);
-        let v = Matrix::<f64>::random_seeded(5, 12, ElementDist::default(), 3);
-        let a = attention(&q, &k, &v, &gqa_cfg);
-        let b = crate::multihead::attention(&q, &k, &v, &mha_cfg);
+    fn single_head_degenerates_to_flash2() {
+        let topo = HeadTopology::mha(1, AttentionConfig::new(8));
+        let q = Matrix::<f64>::random_seeded(6, 8, ElementDist::default(), 4);
+        let k = Matrix::<f64>::random_seeded(6, 8, ElementDist::default(), 5);
+        let v = Matrix::<f64>::random_seeded(6, 8, ElementDist::default(), 6);
+        let a = attention(&q, &k, &v, &topo);
+        let b = crate::flash2::attention(&q, &k, &v, &topo.head);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn model_dim_and_slice() {
+        let topo = HeadTopology::mha(4, AttentionConfig::new(16));
+        assert_eq!(topo.q_dim(), 64);
+        let m = Matrix::<f64>::from_fn(2, 64, |_, c| c as f64);
+        let h2 = m.column_block(topo.q_head_cols(2));
+        assert_eq!((h2.rows(), h2.cols()), (2, 16));
+        assert_eq!(h2[(0, 0)], 32.0);
+        assert_eq!(h2[(1, 15)], 47.0);
+    }
+
+    #[test]
+    fn head_parallel_bit_identical_to_serial() {
+        // Shapes above the fork threshold; the single-fork scheduler must
+        // not change a bit relative to a one-thread pool.
+        let topo = HeadTopology::mha(4, AttentionConfig::new(8));
+        let q = Matrix::<f64>::random_seeded(32, 32, ElementDist::default(), 50);
+        let k = Matrix::<f64>::random_seeded(32, 32, ElementDist::default(), 51);
+        let v = Matrix::<f64>::random_seeded(32, 32, ElementDist::default(), 52);
+        let serial = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(|| attention(&q, &k, &v, &topo));
+        for threads in [2, 3, 8] {
+            let parallel = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| attention(&q, &k, &v, &topo));
+            assert_eq!(serial, parallel, "{threads} threads");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "head counts must be positive")]
+    fn zero_heads_panics() {
+        let _ = HeadTopology::mha(0, AttentionConfig::new(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "query head 2 out of 2")]
+    fn slice_out_of_range_panics() {
+        let topo = HeadTopology::mha(2, AttentionConfig::new(2));
+        let m = Matrix::<f64>::zeros(1, 4);
+        let _ = m.column_block(topo.q_head_cols(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "packed K width mismatch")]
+    fn kv_width_is_checked() {
+        let topo = HeadTopology::gqa(4, 2, AttentionConfig::new(4));
+        let q = Matrix::<f64>::zeros(3, 16);
+        let kv = Matrix::<f64>::zeros(3, 16);
+        let _ = attention(&q, &kv, &kv, &topo);
     }
 
     #[test]
@@ -196,23 +187,21 @@ mod tests {
         // Two query heads in the same group attending to identical K/V
         // must match per-head naive attention against that group's K/V.
         let head = AttentionConfig::new(4);
-        let cfg = GqaConfig::new(4, 2, head);
+        let topo = HeadTopology::gqa(4, 2, head);
         let q = Matrix::<f64>::random_seeded(6, 16, ElementDist::default(), 10);
         let k = Matrix::<f64>::random_seeded(6, 8, ElementDist::default(), 11);
         let v = Matrix::<f64>::random_seeded(6, 8, ElementDist::default(), 12);
-        let out = attention(&q, &k, &v, &cfg);
+        let out = attention(&q, &k, &v, &topo);
 
-        let q_slicer = MultiHeadConfig::new(4, head);
-        let kv_slicer = MultiHeadConfig::new(2, head);
         for h in 0..4 {
-            let g = cfg.group_of(h);
+            let g = topo.group_of(h);
             let expected = naive::attention(
-                &q_slicer.slice_head(&q, h),
-                &kv_slicer.slice_head(&k, g),
-                &kv_slicer.slice_head(&v, g),
+                &q.column_block(topo.q_head_cols(h)),
+                &k.column_block(topo.kv_head_cols(g)),
+                &v.column_block(topo.kv_head_cols(g)),
                 &head,
             );
-            let got = q_slicer.slice_head(&out, h);
+            let got = out.column_block(topo.q_head_cols(h));
             assert!(got.max_abs_diff(&expected) < 1e-12, "head {h}");
         }
     }
@@ -221,11 +210,11 @@ mod tests {
     fn llama31_like_geometry() {
         // Llama-3.1 8B: 32 query heads, 8 KV heads, d=128 — scaled down
         // here (4 q-heads, 1 kv-head) to keep the test fast.
-        let cfg = GqaConfig::new(4, 1, AttentionConfig::new(8));
+        let topo = HeadTopology::gqa(4, 1, AttentionConfig::new(8));
         let q = Matrix::<f64>::random_seeded(10, 32, ElementDist::default(), 20);
         let k = Matrix::<f64>::random_seeded(10, 8, ElementDist::default(), 21);
         let v = Matrix::<f64>::random_seeded(10, 8, ElementDist::default(), 22);
-        let out = attention(&q, &k, &v, &cfg);
+        let out = attention(&q, &k, &v, &topo);
         assert_eq!((out.rows(), out.cols()), (10, 32));
         assert!(out.all_finite());
     }

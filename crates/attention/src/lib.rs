@@ -11,8 +11,9 @@
 //!   the single-pass online kernel the accelerator implements;
 //! * [`tiled`] — FlashAttention-2 processed in key/value blocks, the
 //!   memory-tiling form used on GPUs and by the block-parallel accelerator;
-//! * [`multihead`] — multi-head wrapper splitting the model dimension into
-//!   independent heads;
+//! * [`gqa`] — packed multi-head attention over a [`HeadTopology`]:
+//!   each query head runs FlashAttention-2 against its group's K/V
+//!   (plain multi-head attention is the `kv_heads == query_heads` point);
 //! * [`batch`] — the serving path: a paged, block-allocated KV cache and
 //!   a batched multi-sequence decode engine with the fused per-token
 //!   checksum;
@@ -51,7 +52,6 @@ pub mod encoder;
 pub mod flash2;
 pub mod gqa;
 pub mod lazy;
-pub mod multihead;
 pub mod naive;
 pub mod serve;
 pub mod tiled;

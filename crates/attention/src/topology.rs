@@ -9,14 +9,11 @@
 //! [`KvCache`](crate::batch::KvCache) allocates, demotes, and evicts
 //! blocks per **kv head**, and the decode/prefill schedulers fan out
 //! `(sequence, kv_head)` streams where one contiguous K/V pass feeds all
-//! `group_size` query states.
-//!
-//! [`MultiHeadConfig`] and [`GqaConfig`] both convert into a topology
-//! (`From` impls), so existing call sites keep working while the engines
-//! themselves speak one type.
+//! `group_size` query states. The one-shot packed kernel
+//! ([`gqa::attention`](crate::gqa::attention)), the golden decode
+//! session ([`DecodeSession`](crate::decode::DecodeSession)) and the
+//! encoder layer take the same type.
 
-use crate::gqa::GqaConfig;
-use crate::multihead::MultiHeadConfig;
 use crate::AttentionConfig;
 
 /// Head layout of one attention layer: `query_heads` query heads sharing
@@ -67,12 +64,6 @@ impl HeadTopology {
         Self::gqa(heads, heads, head)
     }
 
-    /// Whether every query head owns its K/V stream (plain multi-head).
-    #[inline]
-    pub fn is_mha(&self) -> bool {
-        self.kv_heads == self.query_heads
-    }
-
     /// Query heads per KV group.
     #[inline]
     pub fn group_size(&self) -> usize {
@@ -104,18 +95,6 @@ impl HeadTopology {
             self.query_heads
         );
         query_head / self.group_size()
-    }
-
-    /// The query heads served by kv head `g`, as a contiguous range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g >= kv_heads`.
-    #[inline]
-    pub fn group_members(&self, g: usize) -> core::ops::Range<usize> {
-        assert!(g < self.kv_heads, "kv head {g} out of {}", self.kv_heads);
-        let gs = self.group_size();
-        g * gs..(g + 1) * gs
     }
 
     /// The column range kv head `g`'s **whole group** of query heads
@@ -164,18 +143,6 @@ impl HeadTopology {
     }
 }
 
-impl From<MultiHeadConfig> for HeadTopology {
-    fn from(cfg: MultiHeadConfig) -> Self {
-        HeadTopology::mha(cfg.num_heads, cfg.head)
-    }
-}
-
-impl From<GqaConfig> for HeadTopology {
-    fn from(cfg: GqaConfig) -> Self {
-        HeadTopology::gqa(cfg.query_heads, cfg.kv_heads, cfg.head)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,11 +153,9 @@ mod tests {
         assert_eq!(t.group_size(), 4);
         assert_eq!(t.q_dim(), 128);
         assert_eq!(t.kv_dim(), 32);
-        assert!(!t.is_mha());
         assert_eq!(t.group_of(0), 0);
         assert_eq!(t.group_of(3), 0);
         assert_eq!(t.group_of(4), 1);
-        assert_eq!(t.group_members(1), 4..8);
         assert_eq!(t.q_head_cols(2), 32..48);
         assert_eq!(t.kv_head_cols(1), 16..32);
     }
@@ -198,23 +163,11 @@ mod tests {
     #[test]
     fn mha_is_the_degenerate_point() {
         let t = HeadTopology::mha(3, AttentionConfig::new(4));
-        assert!(t.is_mha());
         assert_eq!(t.group_size(), 1);
         assert_eq!(t.q_dim(), t.kv_dim());
         for h in 0..3 {
             assert_eq!(t.group_of(h), h);
-            assert_eq!(t.group_members(h), h..h + 1);
         }
-    }
-
-    #[test]
-    fn conversions_preserve_head_counts() {
-        let head = AttentionConfig::new(8);
-        let from_mha: HeadTopology = MultiHeadConfig::new(4, head).into();
-        assert_eq!((from_mha.query_heads, from_mha.kv_heads), (4, 4));
-        assert_eq!(from_mha.head, head);
-        let from_gqa: HeadTopology = GqaConfig::new(4, 2, head).into();
-        assert_eq!((from_gqa.query_heads, from_gqa.kv_heads), (4, 2));
     }
 
     #[test]

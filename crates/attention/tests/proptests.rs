@@ -2,9 +2,7 @@
 //! decode invariants beyond the fixed-case unit tests.
 
 use fa_attention::batch::{DecodeBatch, KvCache, KvLayout};
-use fa_attention::gqa::GqaConfig;
-use fa_attention::multihead::MultiHeadConfig;
-use fa_attention::{decode::DecodeSession, flash2, naive, AttentionConfig};
+use fa_attention::{decode::DecodeSession, flash2, naive, AttentionConfig, HeadTopology};
 use fa_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -79,14 +77,14 @@ proptest! {
     ) {
         // 2 query heads sharing 1 KV head of dim 4.
         let head = AttentionConfig::new(4);
-        let gqa = GqaConfig::new(2, 1, head);
+        let gqa = HeadTopology::gqa(2, 1, head);
         let out_gqa = fa_attention::gqa::attention(&q, &k, &v, &gqa);
         // Expand K/V by duplication into 2 heads and run MHA.
         let expand = |m: &Matrix<f64>| {
             Matrix::from_fn(4, 8, |r, c| m[(r, c % 4)])
         };
-        let mha = MultiHeadConfig::new(2, head);
-        let out_mha = fa_attention::multihead::attention(&q, &expand(&k), &expand(&v), &mha);
+        let mha = HeadTopology::mha(2, head);
+        let out_mha = fa_attention::gqa::attention(&q, &expand(&k), &expand(&v), &mha);
         prop_assert!(out_gqa.max_abs_diff(&out_mha) < 1e-12);
     }
 
@@ -99,7 +97,7 @@ proptest! {
     ) {
         let cfg = AttentionConfig::new(3);
         let batch = naive::attention(&q, &k, &v, &cfg.with_causal(true));
-        let mut session = DecodeSession::new(cfg);
+        let mut session = DecodeSession::new(HeadTopology::mha(1, cfg));
         for i in 0..7 {
             let row = session.step(q.row(i), k.row(i), v.row(i));
             for (c, val) in row.iter().enumerate() {
@@ -181,7 +179,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         use fa_tensor::random::ElementDist;
-        let cfg = GqaConfig::new(4, 2, AttentionConfig::new(8));
+        let cfg = HeadTopology::gqa(4, 2, AttentionConfig::new(8));
         let q = Matrix::<f64>::random_seeded(24, 32, ElementDist::default(), seed);
         let k = Matrix::<f64>::random_seeded(24, 16, ElementDist::default(), seed + 1);
         let v = Matrix::<f64>::random_seeded(24, 16, ElementDist::default(), seed + 2);
@@ -242,9 +240,10 @@ proptest! {
         let cfg = AttentionConfig::new(d);
         let batch = flash2::attention_serial(&q, &k, &v, &cfg.with_causal(true));
 
-        let mut session = DecodeSession::new(cfg);
+        let mut session = DecodeSession::new(HeadTopology::mha(1, cfg));
         for i in 0..n {
-            let (row, l, m) = session.step_with_state(q.row(i), k.row(i), v.row(i));
+            let (row, states) = session.step_with_state(q.row(i), k.row(i), v.row(i));
+            let (l, m) = states[0];
             for (c, val) in row.iter().enumerate() {
                 prop_assert_eq!(val.to_bits(), batch[(i, c)].to_bits(),
                     "token {} lane {}", i, c);
@@ -380,8 +379,8 @@ proptest! {
         let heads = 2;
         let d = 4;
         let head = AttentionConfig::new(d);
-        let cfg = MultiHeadConfig::new(heads, head);
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(heads, head);
+        let dim = cfg.q_dim();
         let eviction = if evict {
             EvictionPolicy::SlidingWindow { window_blocks }
         } else {
@@ -695,8 +694,8 @@ proptest! {
         unchecked_steps in 0usize..4,
     ) {
         use fa_tensor::random::ElementDist;
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(3));
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(2, AttentionConfig::new(3));
+        let dim = cfg.q_dim();
         let rand = |rows: usize, s: u64| {
             Matrix::<f64>::random_seeded(rows, dim, ElementDist::default(), s)
         };
@@ -748,10 +747,10 @@ proptest! {
         use fa_tensor::random::ElementDist;
         let heads = 2;
         let d = 8;
-        let cfg = MultiHeadConfig::new(heads, AttentionConfig::new(d));
+        let cfg = HeadTopology::mha(heads, AttentionConfig::new(d));
 
         let mut sessions: Vec<Vec<DecodeSession<f64>>> = (0..batch_size)
-            .map(|_| (0..heads).map(|_| DecodeSession::new(cfg.head)).collect())
+            .map(|_| (0..heads).map(|_| DecodeSession::new(HeadTopology::mha(1, cfg.head))).collect())
             .collect();
 
         let outs = rayon::ThreadPoolBuilder::new()
@@ -765,7 +764,7 @@ proptest! {
                 let mut all = Vec::new();
                 for t in 0..steps {
                     let s = seed + 10 * t as u64;
-                    let dim = cfg.model_dim();
+                    let dim = cfg.q_dim();
                     let qs = Matrix::<f64>::random_seeded(batch_size, dim, ElementDist::default(), s);
                     let ks = Matrix::<f64>::random_seeded(batch_size, dim, ElementDist::default(), s + 1);
                     let vs = Matrix::<f64>::random_seeded(batch_size, dim, ElementDist::default(), s + 2);

@@ -12,7 +12,6 @@
 
 use fa_attention::batch::{DecodeBatch, EvictionPolicy, KvFormat, KvLayout};
 use fa_attention::decode::DecodeSession;
-use fa_attention::multihead::MultiHeadConfig;
 use fa_attention::{flash2, AttentionConfig, HeadTopology};
 use fa_numerics::BF16;
 use fa_tensor::{ops, random::ElementDist, Matrix};
@@ -774,11 +773,6 @@ struct DecodeInputs {
     v_prompt_h: Vec<Matrix<f64>>,
 }
 
-/// Extracts head `h` of an `N × model_dim` matrix as an `N × d` matrix.
-fn head_matrix(m: &Matrix<f64>, h: usize, d: usize) -> Matrix<f64> {
-    Matrix::from_fn(m.rows(), d, |r, c| m[(r, h * d + c)])
-}
-
 fn decode_inputs(shape: DecodeShape, batch: usize) -> DecodeInputs {
     let d = shape.head_dim;
     let dim = shape.heads * d;
@@ -811,11 +805,12 @@ fn decode_inputs(shape: DecodeShape, batch: usize) -> DecodeInputs {
         }
         out
     };
+    let topo = HeadTopology::mha(shape.heads, AttentionConfig::new(d));
     let prompt_heads = |ms: &[Matrix<f64>]| {
         let mut out = Vec::with_capacity(batch * shape.heads);
         for m in ms {
             for h in 0..shape.heads {
-                out.push(head_matrix(m, h, d));
+                out.push(m.column_block(topo.q_head_cols(h)));
             }
         }
         out
@@ -870,11 +865,11 @@ fn timed_once<S, R>(mut setup: impl FnMut() -> S, mut run: impl FnMut(&mut S) ->
 /// but with per-row cache allocations and one kernel invocation per
 /// sequence×head.
 fn baseline_sessions(shape: DecodeShape, inputs: &DecodeInputs) -> Vec<CheckedDecodeSession> {
-    let head_cfg = AttentionConfig::new(shape.head_dim);
+    let one_head = HeadTopology::mha(1, AttentionConfig::new(shape.head_dim));
     let mut sessions = Vec::with_capacity(inputs.batch * shape.heads);
     for s in 0..inputs.batch {
         for h in 0..shape.heads {
-            let mut session = CheckedDecodeSession::new(head_cfg);
+            let mut session = CheckedDecodeSession::new(one_head);
             session.prefill(
                 &inputs.k_prompt_h[s * shape.heads + h],
                 &inputs.v_prompt_h[s * shape.heads + h],
@@ -896,7 +891,7 @@ fn run_baseline(
             for h in 0..shape.heads {
                 let (q, k, v) = inputs.sliced(t, s, h);
                 let step = sessions[s * shape.heads + h].step(q, k, v);
-                acc += step.output[0];
+                acc += step[0].output[0];
             }
         }
     }
@@ -912,7 +907,7 @@ fn batched_engine<T: fa_tensor::Scalar>(
     k_prompt: &[Matrix<T>],
     v_prompt: &[Matrix<T>],
 ) -> (DecodeBatch<T>, Vec<usize>) {
-    let cfg = MultiHeadConfig::new(shape.heads, AttentionConfig::new(shape.head_dim));
+    let cfg = HeadTopology::mha(shape.heads, AttentionConfig::new(shape.head_dim));
     let mut engine = DecodeBatch::<T>::new(cfg, 64);
     let ids: Vec<usize> = (0..k_prompt.len()).map(|_| engine.add_sequence()).collect();
     for (s, &id) in ids.iter().enumerate() {
@@ -947,14 +942,14 @@ fn run_batched<T: fa_tensor::Scalar>(
 
 fn measure_decode_single(shape: DecodeShape, reps: usize) -> DecodeSingle {
     let inputs = decode_inputs(shape, 1);
-    let head_cfg = AttentionConfig::new(shape.head_dim);
+    let one_head = HeadTopology::mha(1, AttentionConfig::new(shape.head_dim));
     let (mut unchecked_ms, mut checked_ms) = (f64::INFINITY, f64::INFINITY);
     for rep in 0..=reps {
         let a = timed_once(
             || {
                 (0..shape.heads)
                     .map(|h| {
-                        let mut session = DecodeSession::<f64>::new(head_cfg);
+                        let mut session = DecodeSession::<f64>::new(one_head);
                         session.prefill(&inputs.k_prompt_h[h], &inputs.v_prompt_h[h]);
                         session
                     })
@@ -1123,7 +1118,7 @@ fn run_continuous<T: fa_tensor::Scalar>(
     churn_every: usize,
     inputs: &ContinuousInputs<T>,
 ) -> fa_attention::batch::DecodeBatch<T> {
-    let cfg = MultiHeadConfig::new(shape.heads, AttentionConfig::new(shape.head_dim));
+    let cfg = HeadTopology::mha(shape.heads, AttentionConfig::new(shape.head_dim));
     let mut engine = fa_attention::batch::DecodeBatch::<T>::new(cfg, 64);
     let refs: Vec<(&Matrix<T>, &Matrix<T>, &Matrix<T>)> =
         inputs.initial.iter().map(|(q, k, v)| (q, k, v)).collect();
@@ -1253,7 +1248,7 @@ fn run_policy_serving(
     inputs: &ContinuousInputs<f64>,
     mut on_step: impl FnMut(&DecodeBatch<f64>, &[usize]),
 ) -> (DecodeBatch<f64>, PolicyRunTokens) {
-    let cfg = MultiHeadConfig::new(shape.heads, AttentionConfig::new(shape.head_dim));
+    let cfg = HeadTopology::mha(shape.heads, AttentionConfig::new(shape.head_dim));
     let mut engine =
         DecodeBatch::<f64>::with_policy(cfg, block_rows, KvLayout::HeadMajor, format, eviction);
     engine.set_prefill_chunk(prefill_chunk);
@@ -1440,7 +1435,7 @@ fn measure_decode_mixed_format(
     ];
     let dec_inputs = decode_inputs(shape, batch);
     let settle = |format: KvFormat| -> (DecodeBatch<f64>, Vec<usize>) {
-        let cfg = MultiHeadConfig::new(shape.heads, AttentionConfig::new(shape.head_dim));
+        let cfg = HeadTopology::mha(shape.heads, AttentionConfig::new(shape.head_dim));
         let mut engine = DecodeBatch::<f64>::with_policy(
             cfg,
             steady_block_rows,

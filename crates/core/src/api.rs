@@ -1,10 +1,9 @@
-//! High-level public API: [`FlashAbft`] and checked multi-head attention.
+//! High-level public API: [`FlashAbft`] and checked packed attention
+//! over a [`HeadTopology`].
 
 use crate::checker::{ChecksumReport, FlashAbftChecker};
 use crate::online::{attention_checked, OnlineChecked};
-use fa_attention::gqa::GqaConfig;
-use fa_attention::multihead::MultiHeadConfig;
-use fa_attention::AttentionConfig;
+use fa_attention::{AttentionConfig, HeadTopology};
 use fa_numerics::Tolerance;
 use fa_tensor::{Matrix, Scalar};
 
@@ -135,44 +134,14 @@ impl FlashAbft {
     }
 }
 
-/// Checked multi-head attention: each head runs the fused kernel and is
-/// verified independently; reports are returned per head (a fault is
-/// thereby localized to its head).
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn multihead_checked<T: Scalar>(
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    mh: &MultiHeadConfig,
-    tolerance: Tolerance,
-) -> (Matrix<T>, Vec<ChecksumReport>) {
-    let d = mh.head.head_dim();
-    let engine = FlashAbft::new(mh.head).with_tolerance(tolerance);
-    let mut out = Matrix::zeros(q.rows(), mh.model_dim());
-    let mut reports = Vec::with_capacity(mh.num_heads);
-    for h in 0..mh.num_heads {
-        let qh = mh.slice_head(q, h);
-        let kh = mh.slice_head(k, h);
-        let vh = mh.slice_head(v, h);
-        let checked = engine.compute(&qh, &kh, &vh);
-        for r in 0..out.rows() {
-            for c in 0..d {
-                out[(r, h * d + c)] = checked.output()[(r, c)];
-            }
-        }
-        reports.push(checked.report());
-    }
-    (out, reports)
-}
-
-/// Checked grouped-query attention: each query head runs the fused
-/// kernel against its group's K/V and is verified independently. GQA is
+/// Checked packed attention over a [`HeadTopology`]: each query head
+/// runs the fused kernel against its group's K/V and is verified
+/// independently; reports are returned per query head, in head order (a
+/// fault is thereby localized to its head). Grouped-query attention is
 /// what Llama-3.1/Phi-3/Gemma2 actually deploy; the checksum identity is
 /// unchanged per head because each head is an ordinary attention over
-/// its group's K/V.
+/// its group's K/V. Plain multi-head attention is the
+/// `kv_heads == query_heads` point.
 ///
 /// Each kv group's K/V is sliced **once** and shared by all
 /// `group_size` query heads — the same shared-per-group structure the
@@ -187,32 +156,46 @@ pub fn gqa_checked<T: Scalar>(
     q: &Matrix<T>,
     k: &Matrix<T>,
     v: &Matrix<T>,
-    gqa: &GqaConfig,
+    topo: &HeadTopology,
     tolerance: Tolerance,
 ) -> (Matrix<T>, Vec<ChecksumReport>) {
-    assert_eq!(q.cols(), gqa.q_dim(), "packed Q width mismatch");
-    assert_eq!(k.cols(), gqa.kv_dim(), "packed K width mismatch");
-    assert_eq!(v.cols(), gqa.kv_dim(), "packed V width mismatch");
-    let d = gqa.head.head_dim();
-    let q_slicer = MultiHeadConfig::new(gqa.query_heads, gqa.head);
-    let kv_slicer = MultiHeadConfig::new(gqa.kv_heads, gqa.head);
-    let groups: Vec<(Matrix<T>, Matrix<T>)> = (0..gqa.kv_heads)
-        .map(|g| (kv_slicer.slice_head(k, g), kv_slicer.slice_head(v, g)))
+    let d = topo.head.head_dim();
+    let checker = FlashAbftChecker::new(tolerance);
+    let heads = checked_heads(q, k, v, topo);
+    let out = Matrix::from_fn(q.rows(), topo.q_dim(), |r, c| {
+        heads[c / d].output[(r, c % d)]
+    });
+    (out, heads.iter().map(|h| checker.check_online(h)).collect())
+}
+
+/// One fused [`attention_checked`] pass per query head of packed
+/// Q/K/V against its group's K/V, in head order — the body of
+/// [`gqa_checked`] and of `CheckedDecodeSession::prefill_checked`.
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+pub(crate) fn checked_heads<T: Scalar>(
+    q: &Matrix<T>,
+    k: &Matrix<T>,
+    v: &Matrix<T>,
+    topo: &HeadTopology,
+) -> Vec<OnlineChecked<T>> {
+    assert_eq!(q.cols(), topo.q_dim(), "packed Q width mismatch");
+    assert_eq!(k.cols(), topo.kv_dim(), "packed K width mismatch");
+    assert_eq!(v.cols(), topo.kv_dim(), "packed V width mismatch");
+    let groups: Vec<(Matrix<T>, Matrix<T>)> = (0..topo.kv_heads)
+        .map(|g| {
+            let cols = topo.kv_head_cols(g);
+            (k.column_block(cols.clone()), v.column_block(cols))
+        })
         .collect();
-    let engine = FlashAbft::new(gqa.head).with_tolerance(tolerance);
-    let mut out = Matrix::zeros(q.rows(), gqa.q_dim());
-    let mut reports = Vec::with_capacity(gqa.query_heads);
-    for h in 0..gqa.query_heads {
-        let (kg, vg) = &groups[gqa.group_of(h)];
-        let checked = engine.compute(&q_slicer.slice_head(q, h), kg, vg);
-        for r in 0..out.rows() {
-            for c in 0..d {
-                out[(r, h * d + c)] = checked.output()[(r, c)];
-            }
-        }
-        reports.push(checked.report());
-    }
-    (out, reports)
+    (0..topo.query_heads)
+        .map(|h| {
+            let (kg, vg) = &groups[topo.group_of(h)];
+            attention_checked(&q.column_block(topo.q_head_cols(h)), kg, vg, &topo.head)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -265,14 +248,14 @@ mod tests {
 
     #[test]
     fn multihead_reports_are_per_head() {
-        let mh = MultiHeadConfig::new(2, AttentionConfig::new(4));
+        let mh = HeadTopology::mha(2, AttentionConfig::new(4));
         let (q, k, v) = rand_qkv(8, 8, 502);
-        let (out, reports) = multihead_checked(&q, &k, &v, &mh, Tolerance::PAPER);
+        let (out, reports) = gqa_checked(&q, &k, &v, &mh, Tolerance::PAPER);
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| !r.is_alarm()));
         assert_eq!((out.rows(), out.cols()), (8, 8));
         // Matches unchecked multi-head attention.
-        let reference = fa_attention::multihead::attention(&q, &k, &v, &mh);
+        let reference = fa_attention::gqa::attention(&q, &k, &v, &mh);
         assert!(out.max_abs_diff(&reference) < 1e-12);
     }
 
@@ -286,7 +269,7 @@ mod tests {
 
     #[test]
     fn gqa_checked_verifies_clean_and_matches_unchecked() {
-        let gqa = GqaConfig::new(4, 2, AttentionConfig::new(4));
+        let gqa = HeadTopology::gqa(4, 2, AttentionConfig::new(4));
         let q = Matrix::<f64>::random_seeded(6, 16, ElementDist::default(), 600);
         let k = Matrix::<f64>::random_seeded(6, 8, ElementDist::default(), 601);
         let v = Matrix::<f64>::random_seeded(6, 8, ElementDist::default(), 602);
@@ -304,22 +287,20 @@ mod tests {
         // original formulation (one engine.compute per query head over
         // per-member slices of the group's K/V).
         let head = AttentionConfig::new(4).with_causal(true).with_scale(0.3);
-        let gqa = GqaConfig::new(6, 2, head);
+        let gqa = HeadTopology::gqa(6, 2, head);
         let q = Matrix::<f64>::random_seeded(9, gqa.q_dim(), ElementDist::default(), 610);
         let k = Matrix::<f64>::random_seeded(9, gqa.kv_dim(), ElementDist::default(), 611);
         let v = Matrix::<f64>::random_seeded(9, gqa.kv_dim(), ElementDist::default(), 612);
         let (out, reports) = gqa_checked(&q, &k, &v, &gqa, Tolerance::PAPER);
 
         let d = gqa.head.head_dim();
-        let q_slicer = MultiHeadConfig::new(gqa.query_heads, gqa.head);
-        let kv_slicer = MultiHeadConfig::new(gqa.kv_heads, gqa.head);
         let engine = FlashAbft::new(gqa.head).with_tolerance(Tolerance::PAPER);
         for h in 0..gqa.query_heads {
             let g = gqa.group_of(h);
             let checked = engine.compute(
-                &q_slicer.slice_head(&q, h),
-                &kv_slicer.slice_head(&k, g),
-                &kv_slicer.slice_head(&v, g),
+                &q.column_block(gqa.q_head_cols(h)),
+                &k.column_block(gqa.kv_head_cols(g)),
+                &v.column_block(gqa.kv_head_cols(g)),
             );
             for r in 0..out.rows() {
                 for c in 0..d {
@@ -344,7 +325,7 @@ mod tests {
         use fa_attention::batch::DecodeBatch;
 
         let head = AttentionConfig::new(4).with_causal(true);
-        let gqa = GqaConfig::new(4, 2, head);
+        let gqa = HeadTopology::gqa(4, 2, head);
         let n = 10;
         let q = Matrix::<f64>::random_seeded(n, gqa.q_dim(), ElementDist::default(), 620);
         let k = Matrix::<f64>::random_seeded(n, gqa.kv_dim(), ElementDist::default(), 621);
@@ -367,15 +348,13 @@ mod tests {
             }
             // The prompt checksum is the head-order fold of the fused
             // kernel's per-head predictions over shared group K/V.
-            let q_slicer = MultiHeadConfig::new(gqa.query_heads, gqa.head);
-            let kv_slicer = MultiHeadConfig::new(gqa.kv_heads, gqa.head);
             let mut predicted = 0.0f64;
             for h in 0..gqa.query_heads {
                 let g = gqa.group_of(h);
                 let fused = crate::online::flash2_with_checksum(
-                    &q_slicer.slice_head(&q, h),
-                    &kv_slicer.slice_head(&k, g),
-                    &kv_slicer.slice_head(&v, g),
+                    &q.column_block(gqa.q_head_cols(h)),
+                    &k.column_block(gqa.kv_head_cols(g)),
+                    &v.column_block(gqa.kv_head_cols(g)),
                     &gqa.head,
                 );
                 predicted += fused.predicted;

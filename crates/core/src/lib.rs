@@ -27,8 +27,9 @@
 //!   continuous-batching engine in `fa_attention::batch`;
 //! * [`checker`] — detection: tolerance comparison, verification reports,
 //!   and post-hoc verification of externally produced outputs;
-//! * [`api`] — the high-level [`FlashAbft`] entry point and its multi-head
-//!   wrapper.
+//! * [`api`] — the high-level [`FlashAbft`] entry point and checked
+//!   packed attention over a head topology
+//!   ([`gqa_checked`](api::gqa_checked)).
 //!
 //! ## Quickstart
 //!
@@ -59,6 +60,6 @@ pub mod online;
 
 pub use api::{CheckedAttention, FlashAbft};
 pub use checker::{ChecksumReport, FlashAbftChecker};
-pub use decode::{CheckedDecodeSession, CheckedDecodeStep, CheckedGqaDecodeSession};
+pub use decode::{CheckedDecodeSession, CheckedDecodeStep};
 pub use merged::MergedAccumulator;
 pub use online::{attention_checked, flash2_with_checksum, flash2_with_checksum_serial};

@@ -92,14 +92,14 @@ proptest! {
         epochs in 1usize..4,
     ) {
         use fa_attention::batch::DecodeBatch;
-        use fa_attention::multihead::MultiHeadConfig;
+        use fa_attention::HeadTopology;
         use fa_tensor::random::ElementDist;
         use flash_abft::CheckedDecodeSession;
 
         let heads = 2;
         let d = 4;
-        let cfg = MultiHeadConfig::new(heads, AttentionConfig::new(d));
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(heads, AttentionConfig::new(d));
+        let dim = cfg.q_dim();
         let rand = |rows: usize, s: u64| {
             Matrix::<f64>::random_seeded(rows, dim, ElementDist::default(), s)
         };
@@ -130,12 +130,12 @@ proptest! {
                 let mut sessions = Vec::with_capacity(heads);
                 let mut predicted = 0.0f64;
                 for h in 0..heads {
-                    let mut session = CheckedDecodeSession::new(cfg.head);
+                    let mut session = CheckedDecodeSession::new(HeadTopology::mha(1, cfg.head));
                     let checked = session.prefill_checked(
                         &slice_head(&q, h),
                         &slice_head(&k, h),
                         &slice_head(&v, h),
-                    );
+                    ).remove(0);
                     for r in 0..n {
                         for c in 0..d {
                             prop_assert_eq!(
@@ -171,7 +171,7 @@ proptest! {
                     let sessions = golden[id].as_mut().expect("live slot has sessions");
                     for (h, session) in sessions.iter_mut().enumerate() {
                         let sub = |m: &Matrix<f64>| m.row(i)[h * d..(h + 1) * d].to_vec();
-                        let step = session.step(&sub(&qs), &sub(&ks), &sub(&vs));
+                        let step = session.step(&sub(&qs), &sub(&ks), &sub(&vs)).remove(0);
                         prop_assert!(!step.report.is_alarm());
                         for (c, val) in step.output.iter().enumerate() {
                             prop_assert_eq!(
@@ -226,15 +226,15 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         use fa_attention::batch::{DecodeBatch, EvictionPolicy, KvFormat, KvLayout};
-        use fa_attention::multihead::MultiHeadConfig;
+        use fa_attention::HeadTopology;
         use fa_tensor::random::ElementDist;
         use flash_abft::CheckedDecodeSession;
 
         let heads = 2;
         let d = 4;
         let head = AttentionConfig::new(d);
-        let cfg = MultiHeadConfig::new(heads, head);
-        let dim = cfg.model_dim();
+        let cfg = HeadTopology::mha(heads, head);
+        let dim = cfg.q_dim();
         let format = if plain_f64 {
             KvFormat::F64
         } else {
@@ -257,7 +257,7 @@ proptest! {
         let mut engine = DecodeBatch::<f64>::with_policy(cfg, block_rows, KvLayout::HeadMajor, format, eviction);
         let seq = engine.add_sequence();
         let mut sessions: Vec<CheckedDecodeSession> = (0..heads)
-            .map(|_| CheckedDecodeSession::new(golden_head))
+            .map(|_| CheckedDecodeSession::new(HeadTopology::mha(1, golden_head)))
             .collect();
 
         for t in 0..steps {
@@ -279,7 +279,7 @@ proptest! {
             prop_assert!(outs[0].residual().abs() < 1e-10, "engine per-token check, step {}", t);
             for (h, session) in sessions.iter_mut().enumerate() {
                 let sub = |m: &Matrix<f64>| m.row(0)[h * d..(h + 1) * d].to_vec();
-                let step = session.step(&sub(&qs), &sub(&ks), &sub(&vs));
+                let step = session.step(&sub(&qs), &sub(&ks), &sub(&vs)).remove(0);
                 prop_assert!(!step.report.is_alarm(), "golden per-token check, step {}", t);
                 for (c, val) in step.output.iter().enumerate() {
                     prop_assert_eq!(
@@ -308,7 +308,7 @@ proptest! {
     /// the **checksum lane included**: under any `kv_heads` dividing the
     /// query heads, any policy combination, block size and thread
     /// count, `DecodeBatch` decodes bit-identically to the GQA-aware
-    /// `CheckedGqaDecodeSession` (one shared K/V + `sumrow` stream per kv
+    /// `CheckedDecodeSession` (one shared K/V + `sumrow` stream per kv
     /// head, exactly one demotion replay per boundary), every per-token
     /// per-query-head check passes on both sides, and the degenerate
     /// `kv_heads == query_heads` point runs the PR-4 arithmetic through
@@ -327,7 +327,7 @@ proptest! {
         use fa_attention::batch::{DecodeBatch, EvictionPolicy, KvFormat, KvLayout};
         use fa_attention::HeadTopology;
         use fa_tensor::random::ElementDist;
-        use flash_abft::CheckedGqaDecodeSession;
+        use flash_abft::CheckedDecodeSession;
 
         let query_heads = 4;
         let kv_heads = [1usize, 2, 4][kv_sel];
@@ -355,7 +355,7 @@ proptest! {
 
         let mut engine = DecodeBatch::<f64>::with_policy(topo, block_rows, KvLayout::HeadMajor, format, eviction);
         let seq = engine.add_sequence();
-        let mut golden = CheckedGqaDecodeSession::new(
+        let mut golden = CheckedDecodeSession::new(
             HeadTopology::gqa(query_heads, kv_heads, golden_head),
         );
 

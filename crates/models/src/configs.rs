@@ -1,6 +1,5 @@
 //! The four evaluated LLM attention-layer configurations (paper §IV-B).
 
-use fa_attention::gqa::GqaConfig;
 use fa_attention::{AttentionConfig, HeadTopology};
 
 /// The LLMs of the paper's Table I.
@@ -59,16 +58,12 @@ impl ModelConfig {
         self.num_heads / self.kv_heads
     }
 
-    /// The full head topology — what the GQA-native serving stack
-    /// (`fa_attention::batch::DecodeBatch`) consumes directly.
+    /// The full head topology — what the one-shot kernels
+    /// (`fa_attention::gqa::attention`, `flash_abft::api::gqa_checked`),
+    /// the golden decode sessions and the GQA-native serving stack
+    /// (`fa_attention::batch::DecodeBatch`) all consume.
     pub fn topology(&self) -> HeadTopology {
         HeadTopology::gqa(self.num_heads, self.kv_heads, self.attention())
-    }
-
-    /// The grouped-query configuration for the one-shot kernels
-    /// (`fa_attention::gqa`, `flash_abft::api::gqa_checked`).
-    pub fn gqa(&self) -> GqaConfig {
-        GqaConfig::new(self.num_heads, self.kv_heads, self.attention())
     }
 }
 
@@ -178,7 +173,6 @@ mod tests {
             assert_eq!(topo.kv_heads, cfg.kv_heads);
             assert_eq!(topo.q_dim(), cfg.model_dim());
             assert_eq!(topo.kv_dim(), cfg.kv_dim());
-            assert_eq!(cfg.gqa().topology(), topo);
         }
     }
 

@@ -184,6 +184,26 @@ impl<T: Scalar> Matrix<T> {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
     }
 
+    /// Copies columns `cols` of every row into a new
+    /// `rows × cols.len()` matrix — one head's block of a packed
+    /// multi-head matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` reaches past the last column.
+    pub fn column_block(&self, cols: std::ops::Range<usize>) -> Matrix<T> {
+        assert!(
+            cols.start <= cols.end && cols.end <= self.cols,
+            "column block {cols:?} out of bounds for {} columns",
+            self.cols
+        );
+        let data = self
+            .iter_rows()
+            .flat_map(|row| row[cols.clone()].iter().copied())
+            .collect();
+        Matrix::from_vec(self.rows, cols.len(), data)
+    }
+
     /// Applies `f` to every element, producing a new matrix of the same
     /// shape (possibly in a different scalar format).
     pub fn map<U: Scalar>(&self, mut f: impl FnMut(T) -> U) -> Matrix<U> {

@@ -5,15 +5,14 @@
 //! Run with: `cargo run --release --example batched_decode`
 
 use fa_attention::batch::DecodeBatch;
-use fa_attention::multihead::MultiHeadConfig;
-use fa_attention::AttentionConfig;
+use fa_attention::{AttentionConfig, HeadTopology};
 use fa_tensor::{random::ElementDist, Matrix};
 
 fn main() {
     // Four heads of dimension 32, three concurrent sequences, KV cache
     // allocated in 64-row blocks (the paged-attention layout).
-    let cfg = MultiHeadConfig::new(4, AttentionConfig::new(32));
-    let dim = cfg.model_dim();
+    let cfg = HeadTopology::mha(4, AttentionConfig::new(32));
+    let dim = cfg.q_dim();
     let mut engine = DecodeBatch::<f64>::new(cfg, 64);
     let ids: Vec<usize> = (0..3).map(|_| engine.add_sequence()).collect();
 

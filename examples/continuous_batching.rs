@@ -6,16 +6,15 @@
 //! Run with: `cargo run --release --example continuous_batching`
 
 use fa_attention::batch::DecodeBatch;
-use fa_attention::multihead::MultiHeadConfig;
-use fa_attention::AttentionConfig;
+use fa_attention::{AttentionConfig, HeadTopology};
 use fa_tensor::{random::ElementDist, Matrix};
 
 fn main() {
     // Four heads of dimension 32; the head-major paged cache (64-row
     // blocks) gives each (sequence, head) decode pass one pure
     // contiguous K/V stream.
-    let cfg = MultiHeadConfig::new(4, AttentionConfig::new(32));
-    let dim = cfg.model_dim();
+    let cfg = HeadTopology::mha(4, AttentionConfig::new(32));
+    let dim = cfg.q_dim();
     let mut engine = DecodeBatch::<f64>::new(cfg, 64);
 
     let prompt = |len: usize, seed: u64| {

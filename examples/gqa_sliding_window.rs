@@ -4,8 +4,7 @@
 //!
 //! Run with: `cargo run --release --example gqa_sliding_window`
 
-use fa_attention::gqa::GqaConfig;
-use fa_attention::AttentionConfig;
+use fa_attention::{AttentionConfig, HeadTopology};
 use fa_numerics::Tolerance;
 use fa_tensor::{random::ElementDist, Matrix};
 use flash_abft::api::gqa_checked;
@@ -13,7 +12,7 @@ use flash_abft::FlashAbft;
 
 fn main() {
     // --- GQA: 8 query heads sharing 2 KV heads (Llama-style), d=32.
-    let gqa = GqaConfig::new(8, 2, AttentionConfig::new(32));
+    let gqa = HeadTopology::gqa(8, 2, AttentionConfig::new(32));
     let n = 64;
     let q = Matrix::<f64>::random_seeded(n, gqa.q_dim(), ElementDist::default(), 1);
     let k = Matrix::<f64>::random_seeded(n, gqa.kv_dim(), ElementDist::default(), 2);

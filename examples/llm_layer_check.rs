@@ -4,11 +4,11 @@
 //!
 //! Run with: `cargo run --release --example llm_layer_check`
 
-use fa_attention::multihead::MultiHeadConfig;
+use fa_attention::HeadTopology;
 use fa_models::{Workload, WorkloadSpec, PAPER_MODELS};
 use fa_numerics::Tolerance;
 use fa_tensor::{random::ElementDist, Matrix};
-use flash_abft::api::multihead_checked;
+use flash_abft::api::gqa_checked;
 
 fn main() {
     let seq_len = 128;
@@ -16,13 +16,13 @@ fn main() {
         let cfg = model.config();
         // Keep the example fast: 4 heads of the layer, full head_dim.
         let heads = cfg.num_heads.min(4);
-        let mh = MultiHeadConfig::new(heads, cfg.attention());
-        let dim = mh.model_dim();
+        let mh = HeadTopology::mha(heads, cfg.attention());
+        let dim = mh.q_dim();
         let q = Matrix::<f64>::random_seeded(seq_len, dim, ElementDist::default(), 10);
         let k = Matrix::<f64>::random_seeded(seq_len, dim, ElementDist::default(), 11);
         let v = Matrix::<f64>::random_seeded(seq_len, dim, ElementDist::default(), 12);
 
-        let (out, reports) = multihead_checked(&q, &k, &v, &mh, Tolerance::PAPER);
+        let (out, reports) = gqa_checked(&q, &k, &v, &mh, Tolerance::PAPER);
         let alarms = reports.iter().filter(|r| r.is_alarm()).count();
         let worst = reports
             .iter()

@@ -6,8 +6,7 @@
 //! Run with: `cargo run --release --example mixed_format_serving`
 
 use fa_attention::batch::{DecodeBatch, EvictionPolicy, KvFormat};
-use fa_attention::multihead::MultiHeadConfig;
-use fa_attention::AttentionConfig;
+use fa_attention::{AttentionConfig, HeadTopology};
 use fa_tensor::{random::ElementDist, Matrix};
 
 fn main() {
@@ -18,8 +17,8 @@ fn main() {
     // fall behind a 4-block sliding window return to the free list, so
     // per-sequence cache memory is bounded no matter how long decoding
     // runs.
-    let cfg = MultiHeadConfig::new(4, AttentionConfig::new(32));
-    let dim = cfg.model_dim();
+    let cfg = HeadTopology::mha(4, AttentionConfig::new(32));
+    let dim = cfg.q_dim();
     let mut engine = DecodeBatch::<f64>::with_policy(
         cfg,
         16,

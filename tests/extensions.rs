@@ -5,8 +5,7 @@
 use fa_abft::composite::CompositeChecker;
 use fa_accel_sim::activity::measure_activity;
 use fa_accel_sim::config::AcceleratorConfig;
-use fa_attention::gqa::GqaConfig;
-use fa_attention::{naive, AttentionConfig};
+use fa_attention::{naive, AttentionConfig, HeadTopology};
 use fa_models::{LlmModel, Workload, WorkloadSpec};
 use fa_numerics::Tolerance;
 use fa_tensor::{random::ElementDist, Matrix};
@@ -30,9 +29,9 @@ fn end_to_end_generation_with_per_token_checking() {
     // a sliding window, every token checked, session-level check clean.
     let cfg = AttentionConfig::new(16).with_sliding_window(8);
     let (q, k, v) = rand_qkv(32, 16, 1);
-    let mut session = CheckedDecodeSession::new(cfg);
+    let mut session = CheckedDecodeSession::new(HeadTopology::mha(1, cfg));
     for i in 0..32 {
-        let step = session.step(q.row(i), k.row(i), v.row(i));
+        let step = session.step(q.row(i), k.row(i), v.row(i)).remove(0);
         assert!(!step.report.is_alarm(), "token {i}");
         assert_eq!(step.output.len(), 16);
     }
@@ -98,7 +97,7 @@ fn gqa_with_sliding_window_checked() {
     let head = AttentionConfig::new(8)
         .with_causal(true)
         .with_sliding_window(6);
-    let gqa = GqaConfig::new(4, 2, head);
+    let gqa = HeadTopology::gqa(4, 2, head);
     let n = 16;
     let q = Matrix::<f64>::random_seeded(n, gqa.q_dim(), ElementDist::default(), 20);
     let k = Matrix::<f64>::random_seeded(n, gqa.kv_dim(), ElementDist::default(), 21);
@@ -156,21 +155,21 @@ fn flash_abft_protects_attention_inside_a_full_encoder_layer() {
     // guards the attention block per head; a fault injected into the
     // attention output is caught before it propagates into the FFN.
     use fa_attention::encoder::EncoderLayer;
-    use fa_attention::multihead::MultiHeadConfig;
 
-    let mh = MultiHeadConfig::new(4, AttentionConfig::new(8));
-    let layer = EncoderLayer::new(mh, 77);
+    let topo = HeadTopology::mha(4, AttentionConfig::new(8));
+    let layer = EncoderLayer::new(topo, 77);
     let emb = Matrix::<f64>::random_seeded(24, 32, ElementDist::default(), 78);
     let out = layer.forward(&emb);
 
-    let engine = FlashAbft::new(mh.head);
+    let engine = FlashAbft::new(topo.head);
+    let head = |m: &Matrix<f64>, h: usize| m.column_block(topo.q_head_cols(h));
     // Every head of the genuine attention verifies clean.
     for h in 0..4 {
         let report = engine.verify(
-            &mh.slice_head(&out.q, h),
-            &mh.slice_head(&out.k, h),
-            &mh.slice_head(&out.v, h),
-            &mh.slice_head(&out.attention, h),
+            &head(&out.q, h),
+            &head(&out.k, h),
+            &head(&out.v, h),
+            &head(&out.attention, h),
         );
         assert!(!report.is_alarm(), "head {h}");
     }
@@ -178,10 +177,10 @@ fn flash_abft_protects_attention_inside_a_full_encoder_layer() {
     let mut bad = out.attention.clone();
     bad[(10, 2 * 8 + 3)] += 0.03;
     let report = engine.verify(
-        &mh.slice_head(&out.q, 2),
-        &mh.slice_head(&out.k, 2),
-        &mh.slice_head(&out.v, 2),
-        &mh.slice_head(&bad, 2),
+        &head(&out.q, 2),
+        &head(&out.k, 2),
+        &head(&out.v, 2),
+        &head(&bad, 2),
     );
     assert!(
         report.is_alarm(),
