@@ -31,6 +31,14 @@
 //!   per-query-head checksum lane in one sweep over the cache — across
 //!   the shared rayon pool in a **single fork**.
 //!
+//! Decode, chunked prefill and speculative windows all run through **one**
+//! group pass over `n ≥ 1` consecutive query positions of one (sequence,
+//! kv head): decode with `n = 1`, prefill once per prompt chunk, and a
+//! speculative window once per segment. Each retained K/V block streams
+//! once per pass; only the queries whose causal window reaches it are
+//! scored (query-inner multi-dot, so a K row stays hot for all of them),
+//! and each row then folds into exactly those queries' online states.
+//!
 //! The whole engine is **GQA-native**: head counts arrive as a
 //! [`HeadTopology`] (`query_heads` query heads sharing `kv_heads` cached
 //! K/V streams; plain multi-head attention is the degenerate
@@ -54,6 +62,7 @@
 //! size, and admit/retire schedule (property-tested).
 
 use crate::topology::HeadTopology;
+use core::ops::Range;
 use fa_numerics::{KahanSum, OnlineSoftmax, BF16};
 use fa_tensor::{ops, Matrix, Scalar};
 use rayon::prelude::*;
@@ -1731,6 +1740,11 @@ impl<T> std::fmt::Debug for SharedScratch<T> {
     }
 }
 
+/// Packed queries (tokens × group members) one group-pass sweep holds:
+/// at `d = 128` their states and packed rows are ~130 KiB each, an L2's
+/// worth. Longer runs sweep once per tile of this many queries.
+const QUERY_TILE: usize = 128;
+
 /// Sentinel offset marking "no shared tile for this block" in
 /// [`SharedScratch::index`].
 const SHARED_NONE: usize = usize::MAX;
@@ -1867,6 +1881,14 @@ impl<T: Scalar> DecodeBatch<T> {
             shared_scratch: SharedScratch::default(),
             spec_window: None,
         }
+    }
+
+    /// First position visible to a query at `pos` under the effective
+    /// sliding mask — the tighter of the configured sliding window and
+    /// the eviction window, so evicted blocks are never reachable — or 0
+    /// with full causal history.
+    fn window_floor(&self, pos: usize) -> usize {
+        self.mask_window.map_or(0, |w| (pos + 1).saturating_sub(w))
     }
 
     /// Panics unless no speculative window is open — every mutating
@@ -2870,9 +2892,10 @@ impl<T: Scalar> DecodeBatch<T> {
     /// The chunked-admission engine: advances pending prompts (all of
     /// them, or the `only` subset) by at most `chunk` prompt tokens each
     /// — appending the chunk's K/V rows, then running every
-    /// `prompt × kv_head` checked prefill **group pass** for the chunk's
-    /// queries in ONE fork (each pass streams its kv head's panels once,
-    /// feeding all `group_size` query heads), then folding each chunk's
+    /// `prompt × kv_head` checked prefill **group pass** in ONE fork (one
+    /// pass per chunk covers all of its queries: each block streams once
+    /// for every chunk query and `group_size` query head that sees it),
+    /// then folding each chunk's
     /// per-query-head Kahan checksums into the pending and per-sequence
     /// totals. Completed prompts park their [`AdmittedPrompt`] for
     /// [`take_admitted`](Self::take_admitted).
@@ -2943,21 +2966,7 @@ impl<T: Scalar> DecodeBatch<T> {
                 return Vec::new();
             }
             let pend = engine.seqs[seq].pending.as_ref().expect("pending survives");
-            let cols = engine.cfg.group_q_cols(g);
-            let mut scores = Vec::new();
-            let mut states = Vec::with_capacity((p1 - p0) * gs);
-            for p in p0..p1 {
-                states.extend(engine.fused_group_pass(
-                    seq,
-                    g,
-                    &pend.q.row(p)[cols.clone()],
-                    pend.base + p,
-                    true,
-                    None,
-                    &mut scores,
-                ));
-            }
-            states
+            engine.group_pass(seq, g, &pend.q, p0..p1, pend.base + p0, true, None)
         };
         let states: Vec<Vec<HeadState>> =
             if crate::par::worth_parallelizing_units(pairs.len(), per_pair_elems) {
@@ -3077,32 +3086,89 @@ impl<T: Scalar> DecodeBatch<T> {
     ) -> Vec<DecodeStepOutput> {
         let states = self.run_passes(seq_ids, qs, ks, vs, true);
         let h = self.cfg.query_heads;
-        let d = self.cfg.head.head_dim();
-        // Finalize in input order on this thread (Alg. 3 lines 9–11).
+        // Finalize in input order on this thread.
         let mut outputs = Vec::with_capacity(seq_ids.len());
         for (i, &seq) in seq_ids.iter().enumerate() {
-            let mut output = vec![0.0f64; self.cfg.q_dim()];
-            let mut predicted = 0.0f64;
-            let mut actual = 0.0f64;
-            for (hi, state) in states[i * h..(i + 1) * h].iter().enumerate() {
-                for (c, &lane) in state.lanes[..d].iter().enumerate() {
-                    let val = lane / state.sum_exp;
-                    output[hi * d + c] = val;
-                    actual += val;
-                }
-                predicted += state.lanes[d] / state.sum_exp;
-            }
+            let out = self.finalize_token(&states[i * h..(i + 1) * h]);
             let state = &mut self.seqs[seq];
-            state.totals.0 += predicted;
-            state.totals.1 += actual;
+            state.totals.0 += out.predicted;
+            state.totals.1 += out.actual;
             state.checked_steps += 1;
-            outputs.push(DecodeStepOutput {
-                output,
-                predicted,
-                actual,
-            });
+            outputs.push(out);
         }
         outputs
+    }
+
+    /// Finalizes one token from its per-query-head states, in query-head
+    /// order (Alg. 3 lines 9–11): the normalized output lanes, their
+    /// plain sum as the actual checksum, and the plain sum of the heads'
+    /// `c/ℓ` terms as the predicted one — the arithmetic shared by
+    /// [`step_decode`](Self::step_decode) and
+    /// [`speculate`](Self::speculate), so a window token finalizes
+    /// bitwise like the same token decoded alone.
+    fn finalize_token<'a>(
+        &self,
+        heads: impl IntoIterator<Item = &'a HeadState>,
+    ) -> DecodeStepOutput {
+        let d = self.cfg.head.head_dim();
+        let mut output = Vec::with_capacity(self.cfg.q_dim());
+        let mut predicted = 0.0f64;
+        let mut actual = 0.0f64;
+        for state in heads {
+            for &lane in &state.lanes[..d] {
+                let val = lane / state.sum_exp;
+                output.push(val);
+                actual += val;
+            }
+            predicted += state.lanes[d] / state.sum_exp;
+        }
+        DecodeStepOutput {
+            output,
+            predicted,
+            actual,
+        }
+    }
+
+    /// Checks a decode step's (`gamma` = `None`) or speculative window's
+    /// (`Some(gamma)` tokens per id) inputs before anything mutates: no
+    /// open window, Q/K/V widths, the row count per id, and every id
+    /// known, live, not pending and listed once.
+    fn validate_tokens(
+        &self,
+        seq_ids: &[usize],
+        qs: &Matrix<T>,
+        ks: &Matrix<T>,
+        vs: &Matrix<T>,
+        gamma: Option<usize>,
+    ) {
+        self.assert_no_window();
+        if let Some(gamma) = gamma {
+            assert!(gamma > 0, "speculative window must hold at least one token");
+        }
+        assert_eq!(qs.cols(), self.cfg.q_dim(), "Q width mismatch");
+        assert_eq!(ks.cols(), self.cfg.kv_dim(), "K width mismatch");
+        assert_eq!(vs.cols(), self.cfg.kv_dim(), "V width mismatch");
+        let rows = seq_ids.len() * gamma.unwrap_or(1);
+        let per_id = |m: &str| match gamma {
+            Some(_) => format!("gamma {m} rows per sequence id"),
+            None => format!("one {m} row per sequence id"),
+        };
+        assert_eq!(qs.rows(), rows, "{}", per_id("Q"));
+        assert_eq!(ks.rows(), rows, "{}", per_id("K"));
+        assert_eq!(vs.rows(), rows, "{}", per_id("V"));
+        let unit = if gamma.is_some() { "window" } else { "step" };
+        for (i, &s) in seq_ids.iter().enumerate() {
+            assert!(s < self.num_sequences(), "unknown sequence id {s}");
+            assert!(!self.cache.is_retired(s), "sequence {s} is retired");
+            assert!(
+                !self.is_pending(s),
+                "sequence {s} still has pending prompt chunks"
+            );
+            assert!(
+                !seq_ids[..i].contains(&s),
+                "duplicate sequence id {s} in one {unit}"
+            );
+        }
     }
 
     /// [`step_all`](Self::step_all) without the checksum lane — the
@@ -3157,26 +3223,8 @@ impl<T: Scalar> DecodeBatch<T> {
         vs: &Matrix<T>,
         checked: bool,
     ) -> Vec<HeadState> {
-        assert_eq!(qs.cols(), self.cfg.q_dim(), "Q width mismatch");
-        assert_eq!(ks.cols(), self.cfg.kv_dim(), "K width mismatch");
-        assert_eq!(vs.cols(), self.cfg.kv_dim(), "V width mismatch");
-        self.assert_no_window();
+        self.validate_tokens(seq_ids, qs, ks, vs, None);
         let batch = seq_ids.len();
-        assert_eq!(qs.rows(), batch, "one Q row per sequence id");
-        assert_eq!(ks.rows(), batch, "one K row per sequence id");
-        assert_eq!(vs.rows(), batch, "one V row per sequence id");
-        for (i, &s) in seq_ids.iter().enumerate() {
-            assert!(s < self.num_sequences(), "unknown sequence id {s}");
-            assert!(!self.cache.is_retired(s), "sequence {s} is retired");
-            assert!(
-                !self.is_pending(s),
-                "sequence {s} still has pending prompt chunks"
-            );
-            assert!(
-                !seq_ids[..i].contains(&s),
-                "duplicate sequence id {s} in one step"
-            );
-        }
 
         // Phase 1 (serial, cheap): append every new token.
         for (i, &seq) in seq_ids.iter().enumerate() {
@@ -3210,24 +3258,14 @@ impl<T: Scalar> DecodeBatch<T> {
         let pass = |flat: usize| {
             let (i, g) = (flat / kv, flat % kv);
             let seq = seq_ids[i];
-            // A group's query heads are contiguous in the packed Q row.
-            let cols = self.cfg.group_q_cols(g);
             // This pass's slice of the shared-score table: one flat-row
             // lookup here, then plain `bi` indexing per block inside.
             let tiles = shared.and_then(|t| {
                 let row = t.index[flat].as_slice();
                 (!row.is_empty()).then_some((row, t.scores.as_slice()))
             });
-            let mut scores = Vec::new();
-            self.fused_group_pass(
-                seq,
-                g,
-                &qs.row(i)[cols],
-                self.cache.seq_len(seq) - 1,
-                checked,
-                tiles,
-                &mut scores,
-            )
+            let pos = self.cache.seq_len(seq) - 1;
+            self.group_pass(seq, g, qs, i..i + 1, pos, checked, tiles)
         };
         let groups: Vec<Vec<HeadState>> = if crate::par::worth_parallelizing(work, max_len, d * gs)
         {
@@ -3302,10 +3340,7 @@ impl<T: Scalar> DecodeBatch<T> {
             }
             let start = self.cache.first_retained(seq);
             let last_pos = self.cache.seq_len(seq) - 1;
-            let lo = match self.mask_window {
-                Some(w) => (last_pos + 1).saturating_sub(w),
-                None => 0,
-            };
+            let lo = self.window_floor(last_pos);
             for (bi, &blk) in blocks.iter().enumerate() {
                 if self.cache.block_ref_count(blk) < 2 {
                     continue;
@@ -3427,64 +3462,76 @@ impl<T: Scalar> DecodeBatch<T> {
         s.active = s.tiles > 0;
     }
 
-    /// The fused Alg. 3 loop for one (sequence, **kv head**) group at
-    /// query position `last_pos`: one sweep over that kv head's cached
-    /// blocks up to (and including) `last_pos`, computing scores,
-    /// online-softmax state, output lanes and (when `checked`) the
-    /// checksum lane for **every query head of the group** — the K/V
-    /// panels are walked once per block while they are cache-hot, so a
-    /// grouped topology pays the DRAM traffic of one head for
-    /// `group_size` query states.
+    /// The fused Alg. 3 pass for one (sequence, **kv head**) group over
+    /// `n` consecutive query positions `pos0 .. pos0 + n`: the one
+    /// K/V sweep behind decode (`n = 1`), chunked prefill (one call per
+    /// prompt chunk) and speculative windows (one call per window
+    /// segment). Query `j` is row `q_rows.start + j` of the packed `q`;
+    /// the pass reads only its group's contiguous query-head columns and
+    /// packs them token-outer, member-inner, so packed query
+    /// `j·group_size + m` is position `pos0 + j`, member `m` (query head
+    /// `kv_head·group_size + m`).
     ///
-    /// `q_group` packs the group's query sub-rows member-major
-    /// (`group_size · d` lanes). Each block is scored per member through
-    /// the contiguous-stream [`ops::dot_then_scale_rows`] kernel (the K
-    /// panel is one pure contiguous span) —
-    /// unless `shared` carries this (sequence, kv head) pass's
-    /// shared-score row (per-block tile locations plus the step's score
-    /// arena): then the slice is consumed directly, skipping the
-    /// per-reader K sweep (same per-(query, row) dot kernel, same
-    /// bits). Scores and V rows then fold through the member's online
-    /// recurrence — per member, exactly the arithmetic of the
-    /// per-query-head PR-4 pass, so `group_size == 1` is bit-identical to
-    /// it. The checksum lane reads the per-(position, kv head) `sumrow`,
-    /// shared by all members of the group — and, across sequences, the
-    /// same shared-prefix position's `sumrow` value serves every reader
-    /// (cloned at attach). Decode passes use
-    /// `last_pos == seq_len − 1`; admitted prompt queries use their own
-    /// position, which also applies the causal mask. Sliding-window
-    /// masking is relative to `last_pos`, matching the query head's lane
-    /// of `DecodeSession::step_with_state` over the same topology.
-    /// `scores` is caller scratch,
-    /// reused across blocks, members and queries. Returns the group's
-    /// states in member (query-head) order.
+    /// Each retained block streams **once** for all `n` queries (once per
+    /// tile of [`QUERY_TILE`] packed queries for longer runs, such as an
+    /// unbounded admission chunk). The queries that can see it (position
+    /// at or past its first row, window floor at or below its last) form
+    /// a contiguous packed sub-range, and only they are scored, over the
+    /// union of their visible rows, through the query-inner
+    /// [`ops::dot_then_scale_rows_multi_into`] (or its BF16 form for
+    /// demoted blocks) — so causal prefill never scores more than a
+    /// block's intra-block triangle of masked entries. With `shared`
+    /// (decode only), this (sequence, kv head)'s row of the step's
+    /// shared-block score tiles replaces the sweep wherever its row range
+    /// matches: the tiles share the member-major layout and the
+    /// per-(query, row) [`ops::dot_f64`] microkernel, so they carry the
+    /// same bits. [`fold_block`] then feeds each row, in ascending order,
+    /// to exactly the queries whose causal window holds it, through each
+    /// one's online recurrence plus — when `checked` — the checksum lane,
+    /// which reads the per-(position, kv head) `sumrow` shared by every
+    /// member of the group (and, across a shared prefix, every reader).
+    ///
+    /// Per (query, member) the operation sequence is that of a lone
+    /// query: its visible rows in ascending order through the same dot,
+    /// online-softmax and axpy kernels, with sliding-window masking
+    /// relative to its own position. So every state is bit-identical to
+    /// the matching query head's lane of
+    /// [`DecodeSession::step_with_state`](crate::decode::DecodeSession::step_with_state)
+    /// at that position, whatever `n`, topology or thread count. Returns
+    /// the `n · group_size` states, token-outer, member-inner.
     #[allow(clippy::too_many_arguments)]
-    fn fused_group_pass(
+    fn group_pass(
         &self,
         seq: usize,
         kv_head: usize,
-        q_group: &[T],
-        last_pos: usize,
+        q: &Matrix<T>,
+        q_rows: Range<usize>,
+        pos0: usize,
         checked: bool,
         shared: Option<SharedTiles<'_>>,
-        scores: &mut Vec<f64>,
     ) -> Vec<HeadState> {
         let d = self.cfg.head.head_dim();
-        let kv = self.cfg.kv_heads;
         let gs = self.cfg.group_size();
         let scale = self.cfg.head.scale();
-        let sumrows = &self.seqs[seq].sumrows;
-        debug_assert_eq!(q_group.len(), gs * d);
-
-        // Visible positions: the causal-window interval ending at
-        // `last_pos`, under the tighter of the configured sliding window
-        // and the eviction window (sliding-window eviction masks exactly
-        // the positions it frees, so evicted blocks are unreachable).
-        let lo = match self.mask_window {
-            Some(w) => (last_pos + 1).saturating_sub(w),
-            None => 0,
-        };
-
+        let n = q_rows.len();
+        debug_assert!(shared.is_none() || n == 1);
+        // Runs longer than one query tile (an unbounded admission chunk)
+        // sweep tile by tile, so each sweep's states and packed queries
+        // stay cache-resident instead of streaming once per K/V row.
+        let tile_tokens = (QUERY_TILE / gs).max(1);
+        if n > tile_tokens {
+            return (0..n)
+                .step_by(tile_tokens)
+                .flat_map(|t0| {
+                    let rows = q_rows.start + t0..q_rows.start + (t0 + tile_tokens).min(n);
+                    self.group_pass(seq, kv_head, q, rows, pos0 + t0, checked, None)
+                })
+                .collect();
+        }
+        let cols = self.cfg.group_q_cols(kv_head);
+        let q_pack: Vec<T> = q_rows
+            .flat_map(|r| q.row(r)[cols.clone()].iter().copied())
+            .collect();
         // Widened queries for demoted-block scoring: the mixed-operand
         // dot widens BF16 keys per lane (exact), so scoring a demoted
         // block equals scoring its widened contents through the f64
@@ -3498,88 +3545,108 @@ impl<T: Scalar> DecodeBatch<T> {
         {
             Vec::new()
         } else {
-            q_group.iter().map(|x| x.to_f64()).collect()
+            q_pack.iter().map(|x| x.to_f64()).collect()
         };
+        // The queries whose causal window holds position `pos`: causal
+        // floor `pos0 + j ≥ pos`, sliding ceiling
+        // `window_floor(pos0 + j) ≤ pos`. Both ends grow with `pos`, so
+        // the queries seeing any row of a block are one contiguous range
+        // and their visible rows one contiguous union.
+        let seen_by = |pos: usize| {
+            let end = match self.mask_window {
+                Some(w) => (pos + w).saturating_sub(pos0).min(n),
+                None => n,
+            };
+            pos.saturating_sub(pos0)..end
+        };
+        let checksum = checked.then_some((
+            self.seqs[seq].sumrows.as_slice(),
+            self.cfg.kv_heads,
+            kv_head,
+        ));
 
-        let mut states: Vec<(OnlineSoftmax, Vec<f64>)> = (0..gs)
+        let mut states: Vec<(OnlineSoftmax, Vec<f64>)> = (0..n * gs)
             .map(|_| (OnlineSoftmax::new(), vec![0.0f64; d + 1]))
             .collect();
+        let mut tile: Vec<f64> = Vec::new();
         for (bi, blk) in self.cache.head_stream(seq, kv_head).enumerate() {
-            if blk.first > last_pos {
+            if blk.first >= pos0 + n {
                 break;
             }
-            let r1 = (last_pos + 1 - blk.first).min(blk.rows);
-            let r0 = lo.saturating_sub(blk.first).min(r1);
-            if r0 == r1 {
+            let tokens = seen_by(blk.first).start..seen_by(blk.first + blk.rows - 1).end;
+            if tokens.is_empty() {
                 continue;
             }
-            // Shared-block fast path: another reader's builder already
-            // scored this physical block for our queries — consume the
-            // member's precomputed score row instead of re-streaming K.
-            let tile = shared.and_then(|(row, arena)| {
+            // Union of the scored queries' visible rows: the newest one's
+            // causal bound, the oldest one's window floor.
+            let r1 = (pos0 + tokens.end - blk.first).min(blk.rows);
+            let r0 = self
+                .window_floor(pos0 + tokens.start)
+                .saturating_sub(blk.first);
+            let packed = tokens.start * gs * d..tokens.end * gs * d;
+            let len = tokens.len() * gs * (r1 - r0);
+            let shared_tile = shared.and_then(|(row, arena)| {
                 row.get(bi)
-                    .filter(|&&(tr0, tr1, off)| off != SHARED_NONE && (tr0, tr1) == (r0, r1))
-                    .map(|&(_, _, off)| &arena[off..off + gs * (r1 - r0)])
+                    .filter(|&&(t0, t1, off)| off != SHARED_NONE && (t0, t1) == (r0, r1))
+                    .map(|&(_, _, off)| &arena[off..off + len])
             });
+            let scores: &[f64] = match shared_tile {
+                Some(scores) => scores,
+                None => {
+                    if tile.len() < len {
+                        tile.resize(len, 0.0);
+                    }
+                    let (k_rows, out) = (r1 - r0, &mut tile[..len]);
+                    match blk.data {
+                        HeadBlockData::Native { k, .. } => ops::dot_then_scale_rows_multi_into(
+                            &q_pack[packed],
+                            d,
+                            &k[r0 * d..],
+                            d,
+                            k_rows,
+                            scale,
+                            out,
+                        ),
+                        HeadBlockData::Demoted { k, .. } => {
+                            ops::dot_then_scale_rows_multi_bf16_into(
+                                &q_wide[packed],
+                                d,
+                                &k[r0 * d..],
+                                d,
+                                k_rows,
+                                scale,
+                                out,
+                            )
+                        }
+                    }
+                    &tile[..len]
+                }
+            };
+            let local = |pos: usize| {
+                let seen = seen_by(pos);
+                seen.start - tokens.start..seen.end - tokens.start
+            };
+            let states = &mut states[tokens.start * gs..tokens.end * gs];
+            let positions = blk.first + r0..blk.first + r1;
             match blk.data {
-                HeadBlockData::Native { k, v } => {
-                    for (m, (os, lanes)) in states.iter_mut().enumerate() {
-                        let member_scores: &[f64] = if let Some(tile) = tile {
-                            &tile[m * (r1 - r0)..(m + 1) * (r1 - r0)]
-                        } else {
-                            ops::dot_then_scale_rows(
-                                &q_group[m * d..(m + 1) * d],
-                                &k[r0 * d..],
-                                d,
-                                r1 - r0,
-                                scale,
-                                scores,
-                            );
-                            scores
-                        };
-                        accumulate_block(
-                            os,
-                            lanes,
-                            member_scores,
-                            v,
-                            r0,
-                            blk.first,
-                            sumrows,
-                            kv,
-                            kv_head,
-                            checked,
-                        );
-                    }
-                }
-                HeadBlockData::Demoted { k, v } => {
-                    for (m, (os, lanes)) in states.iter_mut().enumerate() {
-                        let member_scores: &[f64] = if let Some(tile) = tile {
-                            &tile[m * (r1 - r0)..(m + 1) * (r1 - r0)]
-                        } else {
-                            ops::dot_then_scale_rows_bf16(
-                                &q_wide[m * d..(m + 1) * d],
-                                &k[r0 * d..],
-                                d,
-                                r1 - r0,
-                                scale,
-                                scores,
-                            );
-                            scores
-                        };
-                        accumulate_block(
-                            os,
-                            lanes,
-                            member_scores,
-                            v,
-                            r0,
-                            blk.first,
-                            sumrows,
-                            kv,
-                            kv_head,
-                            checked,
-                        );
-                    }
-                }
+                HeadBlockData::Native { v, .. } => fold_block(
+                    states,
+                    scores,
+                    &v[r0 * d..r1 * d],
+                    positions,
+                    gs,
+                    local,
+                    checksum,
+                ),
+                HeadBlockData::Demoted { v, .. } => fold_block(
+                    states,
+                    scores,
+                    &v[r0 * d..r1 * d],
+                    positions,
+                    gs,
+                    local,
+                    checksum,
+                ),
             }
         }
         states
@@ -3592,38 +3659,41 @@ impl<T: Scalar> DecodeBatch<T> {
     }
 }
 
-/// Folds one scored block through the online recurrence: lines 4–6 of
-/// Alg. 3 for each of the block's visible rows, plus the checksum lane
-/// when `checked`. Generic over the block's stored value format (native
-/// `T` or demoted BF16) — [`ops::axpy_f64`] handles both with identical
-/// per-lane rounding.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_block<V: Scalar>(
-    os: &mut OnlineSoftmax,
-    lanes: &mut [f64],
+/// Folds one scored block into the online states of the queries that
+/// see it: Alg. 3 lines 4–6 per visible (row, query, member), plus the
+/// checksum lane when `checksum` carries the `(sumrow, kv_heads,
+/// kv_head)` inputs. `states` are the block's scored queries
+/// (token-outer, member-inner) and `scores` their query-major score rows
+/// over the block's `positions`, whose V rows `v` holds; `seen_by` maps a
+/// position to the (local) tokens whose window holds it. Rows are outer
+/// and queries inner, so each V row and its `sumrow` load once per block
+/// however many queries consume them; every query still folds its own
+/// rows in ascending order. Generic over the block's stored value format
+/// (native `T` or demoted BF16) — [`ops::axpy_f64`] handles both with
+/// identical per-lane rounding.
+fn fold_block<V: Scalar>(
+    states: &mut [(OnlineSoftmax, Vec<f64>)],
     scores: &[f64],
     v: &[V],
-    r0: usize,
-    first: usize,
-    sumrows: &[f64],
-    heads: usize,
-    head: usize,
-    checked: bool,
+    positions: Range<usize>,
+    gs: usize,
+    seen_by: impl Fn(usize) -> Range<usize>,
+    checksum: Option<(&[f64], usize, usize)>,
 ) {
-    let d = lanes.len() - 1;
-    for (j, &s) in scores.iter().enumerate() {
-        let r = r0 + j;
-        let step = os.push(s);
-        let vo = r * d;
-        ops::axpy_f64(
-            &mut lanes[..d],
-            &v[vo..vo + d],
-            step.scale_old,
-            step.weight_new,
-        );
-        if checked {
-            let pos = first + r;
-            lanes[d] = lanes[d] * step.scale_old + sumrows[pos * heads + head] * step.weight_new;
+    let rows = positions.len();
+    let d = v.len() / rows;
+    for (r, pos) in positions.enumerate() {
+        let vrow = &v[r * d..(r + 1) * d];
+        let sum = checksum.map(|(sumrows, kv, g)| sumrows[pos * kv + g]);
+        for j in seen_by(pos) {
+            for qi in j * gs..(j + 1) * gs {
+                let (os, lanes) = &mut states[qi];
+                let step = os.push(scores[qi * rows + r]);
+                ops::axpy_f64(&mut lanes[..d], vrow, step.scale_old, step.weight_new);
+                if let Some(sum) = sum {
+                    lanes[d] = lanes[d] * step.scale_old + sum * step.weight_new;
+                }
+            }
         }
     }
 }

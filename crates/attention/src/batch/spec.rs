@@ -6,11 +6,11 @@
 //! Speculative decoding amortizes that sweep along the **token axis** —
 //! a cheap draft proposes `γ` tokens per sequence and the target engine
 //! scores all `γ` positions in one batched pass, streaming each K/V
-//! panel once for `γ` queries instead of `γ` times (the same
-//! bandwidth-reuse structure the shared-prefix score tiles use along the
-//! batch axis, via the same [`ops::dot_then_scale_rows_multi_into`]
-//! kernels, so every (query, row) score is bit-identical to the
-//! sequential GEMV path).
+//! panel once for `γ` queries instead of `γ` times. That pass is the
+//! engine's one multi-position group pass — the same function decode
+//! (`n = 1`) and chunked prefill (one call per chunk) run — so every
+//! (query, row) score and fold is bit-identical to the sequential path
+//! by construction.
 //!
 //! The hard part is the **rollback contract**. Scoring a window requires
 //! appending the draft rows first (each window query attends to the
@@ -52,11 +52,8 @@
 //! a time; `resolve_speculation` with `accepted = 0` is a pure rollback.
 
 use super::guard::WindowVerdict;
-use super::{
-    BlockCheck, BlockRef, DecodeBatch, DecodeStepOutput, HeadBlockData, HeadState, KvFormat,
-};
-use fa_numerics::OnlineSoftmax;
-use fa_tensor::{ops, Matrix, Scalar};
+use super::{BlockCheck, BlockRef, DecodeBatch, DecodeStepOutput, HeadState, KvFormat};
+use fa_tensor::{Matrix, Scalar};
 use rayon::prelude::*;
 
 /// Rollback snapshot and scored-window state for one speculating
@@ -152,27 +149,8 @@ impl<T: Scalar> DecodeBatch<T> {
         vs: &Matrix<T>,
         gamma: usize,
     ) -> Vec<Vec<DecodeStepOutput>> {
-        self.assert_no_window();
-        assert!(gamma > 0, "speculative window must hold at least one token");
+        self.validate_tokens(seq_ids, qs, ks, vs, Some(gamma));
         let batch = seq_ids.len();
-        assert_eq!(qs.cols(), self.cfg.q_dim(), "Q width mismatch");
-        assert_eq!(ks.cols(), self.cfg.kv_dim(), "K width mismatch");
-        assert_eq!(vs.cols(), self.cfg.kv_dim(), "V width mismatch");
-        assert_eq!(qs.rows(), batch * gamma, "gamma Q rows per sequence id");
-        assert_eq!(ks.rows(), batch * gamma, "gamma K rows per sequence id");
-        assert_eq!(vs.rows(), batch * gamma, "gamma V rows per sequence id");
-        for (i, &s) in seq_ids.iter().enumerate() {
-            assert!(s < self.num_sequences(), "unknown sequence id {s}");
-            assert!(!self.cache.is_retired(s), "sequence {s} is retired");
-            assert!(
-                !self.is_pending(s),
-                "sequence {s} still has pending prompt chunks"
-            );
-            assert!(
-                !seq_ids[..i].contains(&s),
-                "duplicate sequence id {s} in one window"
-            );
-        }
 
         // Snapshot every windowed sequence, then open the window BEFORE
         // any append: the open window both parks last-reference frees
@@ -273,7 +251,8 @@ impl<T: Scalar> DecodeBatch<T> {
             let pass = |flat: usize| {
                 let (u, g) = (flat / kv, flat % kv);
                 let (i, j0, j1) = phase[u];
-                self.spec_group_pass(seq_ids[i], g, qs, i, gamma, len0s[i], j0, j1)
+                let rows = i * gamma + j0..i * gamma + j1;
+                self.group_pass(seq_ids[i], g, qs, rows, len0s[i] + j0, true, None)
             };
             let states: Vec<Vec<HeadState>> =
                 if crate::par::worth_parallelizing(work, max_len, d * gs * gamma) {
@@ -281,176 +260,22 @@ impl<T: Scalar> DecodeBatch<T> {
                 } else {
                     (0..work).map(pass).collect()
                 };
-            // Finalize each window token exactly as `step_decode` does:
+            // Finalize each window token exactly as `step_decode` does —
             // query heads in order (kv-group major, member minor ==
-            // ascending query head), lanes in order — but fold nothing
-            // into the session totals; the pairs park in the window.
+            // ascending query head) — but fold nothing into the session
+            // totals; the pairs park in the window.
             for (u, &(i, j0, j1)) in phase.iter().enumerate() {
-                for j in j0..j1 {
-                    let mut output = vec![0.0f64; self.cfg.q_dim()];
-                    let mut predicted = 0.0f64;
-                    let mut actual = 0.0f64;
-                    for g in 0..kv {
-                        let unit = &states[u * kv + g];
-                        for m in 0..gs {
-                            let hi = g * gs + m;
-                            let state = &unit[(j - j0) * gs + m];
-                            for (c, &lane) in state.lanes[..d].iter().enumerate() {
-                                let val = lane / state.sum_exp;
-                                output[hi * d + c] = val;
-                                actual += val;
-                            }
-                            predicted += state.lanes[d] / state.sum_exp;
-                        }
-                    }
+                let units = &states[u * kv..(u + 1) * kv];
+                for j in 0..j1 - j0 {
+                    let out = self
+                        .finalize_token(units.iter().flat_map(|unit| &unit[j * gs..(j + 1) * gs]));
                     let win = self.spec_window.as_mut().expect("window is open");
-                    win.seqs[i].token_checks.push((predicted, actual));
-                    outputs[i].push(DecodeStepOutput {
-                        output,
-                        predicted,
-                        actual,
-                    });
+                    win.seqs[i].token_checks.push((out.predicted, out.actual));
+                    outputs[i].push(out);
                 }
             }
         }
         outputs
-    }
-
-    /// One (sequence, kv head) multi-query fused pass over window
-    /// queries `j0..j1` (positions `len0+j0 .. len0+j1`): each retained
-    /// K/V panel streams **once** through the query-inner multi-dot
-    /// kernel for the union visible range, then every (query, member)
-    /// folds only its own causal-window slice through the shared online
-    /// recurrence — the same per-(query, row) dot microkernel and the
-    /// same fold order as the sequential pass, hence bitwise equal.
-    #[allow(clippy::too_many_arguments)]
-    fn spec_group_pass(
-        &self,
-        seq: usize,
-        kv_head: usize,
-        qs: &Matrix<T>,
-        i: usize,
-        gamma: usize,
-        len0: usize,
-        j0: usize,
-        j1: usize,
-    ) -> Vec<HeadState> {
-        let d = self.cfg.head.head_dim();
-        let kv = self.cfg.kv_heads;
-        let gs = self.cfg.group_size();
-        let scale = self.cfg.head.scale();
-        let nq = (j1 - j0) * gs;
-        let sumrows = &self.seqs[seq].sumrows;
-        let cols = self.cfg.group_q_cols(kv_head);
-
-        // Pack the segment's queries token-outer, member-inner: packed
-        // query `(j-j0)·gs + m` is window token `j`'s member `m`.
-        let mut q_pack: Vec<T> = Vec::with_capacity(nq * d);
-        for j in j0..j1 {
-            q_pack.extend_from_slice(&qs.row(i * gamma + j)[cols.clone()]);
-        }
-        // Widened twin for demoted blocks — same existence condition as
-        // the sequential pass (BF16 blocks possible), and like there it
-        // never touches native-block scoring.
-        let q_wide: Vec<f64> = if self.cache.format() == KvFormat::F64
-            && !self.cache.seqs[seq].blocks.iter().any(|b| b.bf16)
-        {
-            Vec::new()
-        } else {
-            q_pack.iter().map(|x| x.to_f64()).collect()
-        };
-
-        let last_max = len0 + j1 - 1;
-        // The oldest query's window floor — block-independent, so the
-        // union range below is per-block arithmetic only.
-        let lo_min = match self.mask_window {
-            Some(w) => (len0 + j0 + 1).saturating_sub(w),
-            None => 0,
-        };
-        let mut states: Vec<(OnlineSoftmax, Vec<f64>)> = (0..nq)
-            .map(|_| (OnlineSoftmax::new(), vec![0.0f64; d + 1]))
-            .collect();
-        let mut tile: Vec<f64> = Vec::new();
-        for blk in self.cache.head_stream(seq, kv_head) {
-            if blk.first > last_max {
-                break;
-            }
-            // Union visible range across the segment's queries: newest
-            // query's causal bound, oldest query's window floor.
-            let u1 = (last_max + 1 - blk.first).min(blk.rows);
-            let u0 = lo_min.saturating_sub(blk.first).min(u1);
-            if u0 == u1 {
-                continue;
-            }
-            let n_rows = u1 - u0;
-            tile.clear();
-            tile.resize(nq * n_rows, 0.0);
-            match blk.data {
-                HeadBlockData::Native { k, v } => {
-                    ops::dot_then_scale_rows_multi_into(
-                        &q_pack,
-                        d,
-                        &k[u0 * d..],
-                        d,
-                        n_rows,
-                        scale,
-                        &mut tile,
-                    );
-                    fold_segment(
-                        &mut states,
-                        &tile,
-                        v,
-                        blk.first,
-                        blk.rows,
-                        u0,
-                        n_rows,
-                        len0,
-                        j0,
-                        j1,
-                        gs,
-                        self.mask_window,
-                        sumrows,
-                        kv,
-                        kv_head,
-                    );
-                }
-                HeadBlockData::Demoted { k, v } => {
-                    ops::dot_then_scale_rows_multi_bf16_into(
-                        &q_wide,
-                        d,
-                        &k[u0 * d..],
-                        d,
-                        n_rows,
-                        scale,
-                        &mut tile,
-                    );
-                    fold_segment(
-                        &mut states,
-                        &tile,
-                        v,
-                        blk.first,
-                        blk.rows,
-                        u0,
-                        n_rows,
-                        len0,
-                        j0,
-                        j1,
-                        gs,
-                        self.mask_window,
-                        sumrows,
-                        kv,
-                        kv_head,
-                    );
-                }
-            }
-        }
-        states
-            .into_iter()
-            .map(|(os, lanes)| HeadState {
-                lanes,
-                sum_exp: os.sum_exp(),
-            })
-            .collect()
     }
 
     /// Closes the open window: rolls **every** windowed sequence back to
@@ -556,70 +381,6 @@ impl<T: Scalar> DecodeBatch<T> {
             });
         }
         verdicts
-    }
-}
-
-/// Folds one scored tile (union range `[u0, u0+n_rows)`, query-major)
-/// into the segment's per-(query, member) online states: each query `j`
-/// consumes only its own causal-window slice `[r0_j, r1_j)` — rows the
-/// sequential pass would have scored for that token, in the same order,
-/// through the same [`accumulate_block`] recurrence.
-///
-/// Iteration is rows-outer / queries-inner so each V row (and its
-/// sumrow) is streamed from memory once per block regardless of how
-/// many window queries consume it; queries are independent folds, and
-/// each still sees its own rows in ascending order with the exact
-/// per-row arithmetic of [`accumulate_block`], so the output is
-/// bit-identical to the query-outer formulation.
-#[allow(clippy::too_many_arguments)]
-fn fold_segment<V: Scalar>(
-    states: &mut [(OnlineSoftmax, Vec<f64>)],
-    tile: &[f64],
-    v: &[V],
-    first: usize,
-    rows: usize,
-    u0: usize,
-    n_rows: usize,
-    len0: usize,
-    j0: usize,
-    j1: usize,
-    gs: usize,
-    mask_window: Option<usize>,
-    sumrows: &[f64],
-    kv: usize,
-    kv_head: usize,
-) {
-    let d = match states.first() {
-        Some((_, lanes)) => lanes.len() - 1,
-        None => return,
-    };
-    for rr in 0..n_rows {
-        let r = u0 + rr;
-        if r >= rows {
-            break;
-        }
-        let pos = first + r;
-        // Queries that see this row: causal floor `len0 + j >= pos`,
-        // sliding-window ceiling `pos >= len0 + j + 1 - w`.
-        let lo_j = pos.saturating_sub(len0).max(j0);
-        let hi_j = match mask_window {
-            Some(w) => (pos + w).saturating_sub(len0).min(j1),
-            None => j1,
-        };
-        if lo_j >= hi_j {
-            continue;
-        }
-        let vrow = &v[r * d..(r + 1) * d];
-        let sum = sumrows[pos * kv + kv_head];
-        for j in lo_j..hi_j {
-            for m in 0..gs {
-                let qi = (j - j0) * gs + m;
-                let (os, lanes) = &mut states[qi];
-                let step = os.push(tile[qi * n_rows + rr]);
-                ops::axpy_f64(&mut lanes[..d], vrow, step.scale_old, step.weight_new);
-                lanes[d] = lanes[d] * step.scale_old + sum * step.weight_new;
-            }
-        }
     }
 }
 
@@ -998,6 +759,45 @@ mod tests {
             &rand(1, topo.kv_dim(), 4),
             &rand(1, topo.kv_dim(), 5),
         );
+    }
+
+    /// A two-head engine with one prefilled sequence, a window of
+    /// `ids.len()` sequences' rows, and `speculate` over `ids`.
+    fn speculate_ids(ids: &[usize], prepare: impl FnOnce(&mut DecodeBatch<f64>)) {
+        let topo = HeadTopology::mha(2, AttentionConfig::new(4));
+        let mut b = engine(KvFormat::F64, EvictionPolicy::RetainAll, topo);
+        let id = b.add_sequence();
+        b.prefill(id, &rand(6, topo.kv_dim(), 1), &rand(6, topo.kv_dim(), 2));
+        prepare(&mut b);
+        let (qs, ks, vs) = window(ids, topo, 2, 9);
+        b.speculate(ids, &qs, &ks, &vs, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown sequence id 1")]
+    fn speculate_rejects_an_unknown_id() {
+        speculate_ids(&[0, 1], |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence 0 is retired")]
+    fn speculate_rejects_a_retired_id() {
+        speculate_ids(&[0], |b| b.retire(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence 1 still has pending prompt chunks")]
+    fn speculate_rejects_a_pending_id() {
+        speculate_ids(&[0, 1], |b| {
+            let p = rand(8, 8, 3);
+            b.enqueue(&p, &p, &p);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate sequence id 0 in one window")]
+    fn speculate_rejects_a_duplicate_id() {
+        speculate_ids(&[0, 0], |_| {});
     }
 
     #[test]

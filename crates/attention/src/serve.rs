@@ -629,54 +629,38 @@ impl Scheduler {
     /// the history must rebuild: evict-and-requeue) — the request
     /// re-decodes the same token index after recovery, bit-identically.
     fn sequential_decode(&mut self, chosen: &[usize], report: &mut StepReport) {
-        let outputs = if chosen.is_empty() {
-            Vec::new()
-        } else {
-            let (qd, kd) = (self.engine.config().q_dim(), self.engine.config().kv_dim());
-            let mut qdat = Vec::with_capacity(chosen.len() * qd);
-            let mut kdat = Vec::with_capacity(chosen.len() * kd);
-            let mut vdat = Vec::with_capacity(chosen.len() * kd);
-            let mut seq_ids = Vec::with_capacity(chosen.len());
-            for &i in chosen {
-                let a = &self.active[i];
-                let (q, k, v) = self.token_rows(a.rec, a.decoded);
-                qdat.extend_from_slice(q.as_slice());
-                kdat.extend_from_slice(k.as_slice());
-                vdat.extend_from_slice(v.as_slice());
-                seq_ids.push(a.seq);
-            }
-            let qs = Matrix::from_vec(chosen.len(), qd, qdat);
-            let ks = Matrix::from_vec(chosen.len(), kd, kdat);
-            let vs = Matrix::from_vec(chosen.len(), kd, vdat);
-            let outs = self.engine.step_decode(&seq_ids, &qs, &ks, &vs);
-            outs.into_iter()
-                .enumerate()
-                .map(|(j, o)| (chosen[j], o, ks.row(j).to_vec(), vs.row(j).to_vec()))
-                .collect()
-        };
+        if chosen.is_empty() {
+            return;
+        }
+        let (qd, kd) = (self.engine.config().q_dim(), self.engine.config().kv_dim());
+        let mut qdat = Vec::with_capacity(chosen.len() * qd);
+        let mut kdat = Vec::with_capacity(chosen.len() * kd);
+        let mut vdat = Vec::with_capacity(chosen.len() * kd);
+        let mut seq_ids = Vec::with_capacity(chosen.len());
+        for &i in chosen {
+            let a = &self.active[i];
+            let (q, k, v) = self.token_rows(a.rec, a.decoded);
+            qdat.extend_from_slice(q.as_slice());
+            kdat.extend_from_slice(k.as_slice());
+            vdat.extend_from_slice(v.as_slice());
+            seq_ids.push(a.seq);
+        }
+        let qs = Matrix::from_vec(chosen.len(), qd, qdat);
+        let ks = Matrix::from_vec(chosen.len(), kd, kdat);
+        let vs = Matrix::from_vec(chosen.len(), kd, vdat);
+        let outs = self.engine.step_decode(&seq_ids, &qs, &ks, &vs);
 
         let mut alarmed: Vec<usize> = Vec::new();
-        for (i, out, krow, vrow) in outputs {
+        for (j, (&i, out)) in chosen.iter().zip(&outs).enumerate() {
             let res = out.residual().abs();
             if res.is_nan() || res > self.cfg.tol {
                 report.online_alarms += 1;
                 alarmed.push(i);
                 continue;
             }
-            let a = &mut self.active[i];
-            a.hist_k.extend_from_slice(&krow);
-            a.hist_v.extend_from_slice(&vrow);
-            a.decoded += 1;
-            a.demoted = false;
-            let tenant = self.records[a.rec].tenant;
-            let r = &mut self.records[a.rec];
-            if r.first_token_step.is_none() {
-                r.first_token_step = Some(self.now);
-            }
-            r.token_steps.push(self.now);
-            r.token_hashes.push(hash_bits(&out.output));
+            self.deliver(i, ks.row(j), vs.row(j), &out.output, report);
+            let tenant = self.records[self.active[i].rec].tenant;
             self.decoded_tokens[tenant] += 1;
-            report.decode_tokens += 1;
         }
         // Requeue alarmed victims highest-index first: `requeue` may
         // swap_remove on a lost race, which never disturbs lower indices.
@@ -684,6 +668,26 @@ impl Scheduler {
         for i in alarmed {
             self.requeue(i, RequeueCause::Corruption, report);
         }
+    }
+
+    /// Delivers one verified token of active request `i`: its K/V rows
+    /// join the request's history, the token lands on the record (first
+    /// token step, token step, output hash), and the step report counts
+    /// it. Tenant deficit charging stays with the caller: plain decode
+    /// charges per delivered token, speculation per scored window.
+    fn deliver(&mut self, i: usize, k: &[f64], v: &[f64], output: &[f64], report: &mut StepReport) {
+        let a = &mut self.active[i];
+        a.hist_k.extend_from_slice(k);
+        a.hist_v.extend_from_slice(v);
+        a.decoded += 1;
+        a.demoted = false;
+        let r = &mut self.records[a.rec];
+        if r.first_token_step.is_none() {
+            r.first_token_step = Some(self.now);
+        }
+        r.token_steps.push(self.now);
+        r.token_hashes.push(hash_bits(output));
+        report.decode_tokens += 1;
     }
 
     /// The draft's per-token coin in `[0, 1)`: a pure function of the
@@ -793,18 +797,8 @@ impl Scheduler {
             // Accepted positions drafted the true stream rows, so the
             // window's own K/V rows are the history rows.
             for (t, out) in outs[j].iter().take(accepted[j]).enumerate() {
-                let a = &mut self.active[i];
-                a.hist_k.extend_from_slice(ks.row(j * gamma + t));
-                a.hist_v.extend_from_slice(vs.row(j * gamma + t));
-                a.decoded += 1;
-                a.demoted = false;
-                let r = &mut self.records[rec];
-                if r.first_token_step.is_none() {
-                    r.first_token_step = Some(self.now);
-                }
-                r.token_steps.push(self.now);
-                r.token_hashes.push(hash_bits(&out.output));
-                report.decode_tokens += 1;
+                let row = j * gamma + t;
+                self.deliver(i, ks.row(row), vs.row(row), &out.output, report);
             }
         }
         // The window is already closed (rolled back), so alarmed victims
