@@ -34,8 +34,9 @@ pub const MATMUL_ROW_BLOCK: usize = 32;
 #[inline]
 fn forking_possible() -> bool {
     // SWAP NOTE enforcement: under the shim, `install` overrides live on
-    // the calling thread and pool workers are fresh scoped threads, so a
-    // worker carrying an install override is impossible — that combination
+    // the calling thread, pool workers never carry one, and a caller drops
+    // its own while it works on a terminal's items, so a participant
+    // carrying an install override is impossible — that combination
     // is the upstream-rayon execution model (where `install` runs ON a
     // worker), i.e. exactly the configuration in which the
     // `current_thread_index` clause below silently serializes every
